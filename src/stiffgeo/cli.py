@@ -93,15 +93,6 @@ def _model(text: str) -> models.CanonicalModel:
         raise _ParseFailure(str(exc)) from None
 
 
-def _write_csv(path: str, times, points) -> None:
-    d = len(points[0])
-    lines = ["t," + ",".join(f"x{i+1}" for i in range(d))]
-    for t, p in zip(times, points):
-        lines.append(",".join([repr(float(t))] + [repr(float(v)) for v in p]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # verb handlers
 
@@ -247,7 +238,8 @@ def _cmd_geodesic(args) -> dict:
         ts = np.linspace(float(t0), float(t1), int(n))
         pts = sol.sample(ts)
         if args.out:
-            _write_csv(args.out, ts, pts)
+            with open(args.out, "w") as fh:
+                fh.write(metrics.trace_csv(ts, pts))
             out["csv"] = args.out
         else:
             out["trace"] = {"t": ts, "points": pts}
@@ -294,7 +286,8 @@ def _cmd_h_geodesic(args) -> dict:
         "est_error": trace.est_error,
     }
     if args.out:
-        _write_csv(args.out, trace.times, trace.points)
+        with open(args.out, "w") as fh:
+            fh.write(trace.to_csv())
         out["csv"] = args.out
     return out
 
@@ -405,18 +398,19 @@ def _build_parser() -> _Parser:
                      description="stiff connection numerics front end")
     sub = parser.add_subparsers(dest="verb", metavar="verb")
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, mode=False, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
         p.add_argument("--tol", type=float, default=None,
                        help="tolerance override for the underlying solver")
-        p.add_argument("--mode", choices=["similarity", "isometry"],
-                       default="similarity",
-                       help="group used for normalizations and status checks")
+        if mode:
+            p.add_argument("--mode", choices=["similarity", "isometry"],
+                           default="similarity",
+                           help="group used for normalizations and status checks")
         return p
 
-    p = add("classify", _cmd_classify, help="reduce a stiff potential to "
-            "its canonical model")
+    p = add("classify", _cmd_classify, mode=True, help="reduce a stiff "
+            "potential to its canonical model")
     p.add_argument("--potential", required=True,
                    help='JSON like {"signature":{"p":2,"m":0},"K":4,'
                         '"lin":[-4,0],"const":0}')
@@ -487,8 +481,8 @@ def _build_parser() -> _Parser:
     p = add("table", _cmd_table, help="unit-disk comparison table")
     p.add_argument("--at", required=True)
 
-    p = add("weakstiff", _cmd_weakstiff, help="verify a weakly stiff "
-            "construction and run the boundary dichotomy")
+    p = add("weakstiff", _cmd_weakstiff, mode=True, help="verify a weakly "
+            "stiff construction and run the boundary dichotomy")
     p.add_argument("--f", required=True,
                    help='rational function JSON {"num":[[re,im],...],'
                         '"den":[[re,im],...]}')

@@ -17,7 +17,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError
-from .models import CanonicalModel, contains, interior_point, parse_model
+from .models import (CanonicalModel, contains, interior_point, parse_model,
+                     segment_margin)
 
 C1_CONSTANT = "C1_Constant"
 C2_SINGLE_POLE = "C2_SinglePole"
@@ -378,21 +379,6 @@ class TravelTime:
     note: str = ""
 
 
-def _chord_guard(model: CanonicalModel, a: np.ndarray, b: np.ndarray) -> None:
-    ts = np.linspace(0.0, 1.0, 257)[:, None]
-    pts = a[None, :] * (1 - ts) + b[None, :] * ts
-    eps = model.sig.eps
-    psi = (pts * pts * eps).sum(axis=1) + model.lam
-    nu = 1.0 if model.nu > 0 else -1.0
-    if np.any(nu * psi <= 0):
-        raise DomainError("segment exits the domain")
-    k = model.branch_coordinate
-    if k is not None:
-        sgn = 1.0 if model.branch == "right" else -1.0
-        if np.any(sgn * pts[:, k] <= 0):
-            raise DomainError("segment leaves the branch")
-
-
 def travel_time(model: CanonicalModel, a, b, alpha: float = 1.0) -> TravelTime:
     """Time along the straight chord [a, b] in the isochrone metric h.
 
@@ -413,7 +399,8 @@ def travel_time(model: CanonicalModel, a, b, alpha: float = 1.0) -> TravelTime:
         return TravelTime(0.0, "Null",
                           "null chord: the isochrone speed vanishes "
                           "identically, no information")
-    _chord_guard(model, a, b)
+    if segment_margin(model, a, b) <= 0.0:
+        raise DomainError("segment exits the domain")
     line = GeodesicLine(model, a, e)
     case = reduce_line(line)
     F, _, k = _F_for_case(case)

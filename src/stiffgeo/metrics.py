@@ -108,12 +108,16 @@ class GeodesicTrace:
     est_error: float
 
     def to_csv(self) -> str:
-        d = self.points.shape[1]
-        header = "t," + ",".join(f"x{i+1}" for i in range(d))
-        lines = [header]
-        for t, p in zip(self.times, self.points):
-            lines.append(",".join([repr(float(t))] + [repr(float(v)) for v in p]))
-        return "\n".join(lines) + "\n"
+        return trace_csv(self.times, self.points)
+
+
+def trace_csv(times, points) -> str:
+    """CSV text with header t,x1,...,xd and full-precision (repr) floats."""
+    d = len(points[0])
+    lines = ["t," + ",".join(f"x{i+1}" for i in range(d))]
+    for t, p in zip(times, points):
+        lines.append(",".join([repr(float(t))] + [repr(float(v)) for v in p]))
+    return "\n".join(lines) + "\n"
 
 
 def h_geodesic_acceleration(model: CanonicalModel, x, v) -> np.ndarray:

@@ -15,6 +15,7 @@ lambda to lambda r^2 keeping (p, nu); negalitude of ratio r sends lambda to
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -34,6 +35,8 @@ __all__ = [
     "parse_model",
     "format_model",
     "contains",
+    "segment_margin",
+    "arc_margin",
     "domain_facts",
     "stiffness_check",
     "classify",
@@ -143,6 +146,63 @@ def contains(M: CanonicalModel, x) -> bool:
     if bc is not None and M.branch == BRANCH_LEFT:
         return x[bc] < 0.0
     return True
+
+
+def segment_margin(M: CanonicalModel, a, b) -> float:
+    """Exact minimum of nu psi over [a, b]; -inf if a is outside M.
+
+    psi(a + s e) = q(e) s^2 + 2 (a.e)_q s + psi(a) dips below its endpoint
+    values only at the vertex s* = -(a.e)_q / q(e), when nu q(e) > 0.  As
+    nu psi <= 0 where the branch coordinate vanishes, a path keeping
+    nu psi > 0 stays on the branch of its start, and contains(M, a) settles
+    the branch.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not contains(M, a):
+        return -math.inf
+    margin = min(M.nu * M.psi(a), M.nu * M.psi(b))
+    e = b - a
+    qe = M.sig.q(e)
+    if M.nu * qe > 0.0:
+        s = -M.sig.dot(a, e) / qe
+        if 0.0 < s < 1.0:
+            margin = min(margin, M.nu * M.psi(a + s * e))
+    return margin
+
+
+def arc_margin(M: CanonicalModel, c0, c1, theta0: float, theta1: float) -> float:
+    """Exact minimum of nu psi over C(theta) c0 + S(theta) c1, theta between
+    theta0 and theta1; -inf if the start is outside M (see segment_margin).
+
+    (C, S) = (cosh, sinh) if q(c0) q(c1) < 0 (a mixed plane), else (cos, sin),
+    and psi = alpha + beta C(2 theta) + gamma S(2 theta), gamma = (c0.c1)_q.
+    A trig arc dips to nu alpha - hypot(beta, gamma) once per period; a
+    hyperbolic one only when |gamma| < |beta| and nu beta > 0, to
+    nu alpha + sqrt(beta^2 - gamma^2) at tanh(2 theta) = -gamma/beta.
+    """
+    c0 = np.asarray(c0, dtype=float)
+    c1 = np.asarray(c1, dtype=float)
+    q0, q1, gamma = M.sig.q(c0), M.sig.q(c1), M.sig.dot(c0, c1)
+    hyp = q0 * q1 < 0.0
+    C, S = (math.cosh, math.sinh) if hyp else (math.cos, math.sin)
+    ends = [C(t) * c0 + S(t) * c1 for t in (theta0, theta1)]
+    if not contains(M, ends[0]):
+        return -math.inf
+    nu, lo, hi = M.nu, min(theta0, theta1), max(theta0, theta1)
+    margin = min(nu * M.psi(x) for x in ends)
+    alpha = M.lam + 0.5 * (q0 - q1 if hyp else q0 + q1)
+    beta = 0.5 * (q0 + q1 if hyp else q0 - q1)
+    if hyp and abs(gamma) < abs(beta) and nu * beta > 0.0:
+        g = gamma / beta
+        if lo < 0.5 * math.atanh(-g) < hi:
+            margin = min(margin, nu * alpha + abs(beta) * math.sqrt(1.0 - g * g))
+    elif not hyp and (beta or gamma):
+        # nu psi = nu alpha + nu hypot(beta, gamma) cos(2 theta - phi)
+        t = 0.5 * (math.atan2(gamma, beta) + (math.pi if nu > 0 else 0.0))
+        if t + math.pi * math.ceil((lo - t) / math.pi) <= hi:
+            margin = min(margin, nu * alpha - math.hypot(beta, gamma))
+    return margin
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,10 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError
-from .models import CanonicalModel, contains
+from .models import CanonicalModel, arc_margin, contains, segment_margin
 from .pseudospace import complete_orthonormal, inf_rotation_J
 
-# refuse paths that sample closer to the boundary than this; Gamma ~ 1/psi
+# refuse paths that come closer to the boundary than this; Gamma ~ 1/psi
 REFUSE_PSI = 1e-9
 _GUARD_SAMPLES = 257
 
@@ -199,51 +199,17 @@ class CharacteristicFrequency:
 
 
 # ---------------------------------------------------------------------------
-# associated bilinear map
-
-
-def gamma_at(model: CanonicalModel, x) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Christoffel bilinear map at x: (u,v) -> -2[(x.u)v + (x.v)u]/psi."""
-    x = np.asarray(x, dtype=float)
-    if not contains(model, x):
-        raise DomainError(f"point {x} outside model {model}")
-    eps = model.sig.eps
-    psi = model.psi(x)
-    ex = eps * x
-
-    def gamma(u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        return -2.0 * (float(ex @ u) * v + float(ex @ v) * u) / psi
-
-    return gamma
-
-
-# ---------------------------------------------------------------------------
 # domain guards
 
 
-def _guard_points(model: CanonicalModel, pts: np.ndarray, what: str) -> None:
-    """Refuse paths that sample outside the domain or too near psi = 0."""
-    eps = model.sig.eps
-    psi = (pts * pts * eps).sum(axis=1) + model.lam
-    nu = 1.0 if model.nu > 0 else -1.0
-    if np.any(nu * psi <= 0):
+def _guard(model: CanonicalModel, margin: float, what: str) -> None:
+    """Refuse a path whose smallest nu*psi is not above REFUSE_PSI."""
+    if margin <= 0.0:
         raise DomainError(f"{what} leaves the domain of {model}")
-    if np.min(np.abs(psi)) < REFUSE_PSI:
+    if margin < REFUSE_PSI:
         raise DomainError(
             f"{what} passes within {REFUSE_PSI} of the boundary psi = 0"
         )
-    k = model.branch_coordinate
-    if k is not None:
-        sgn = 1.0 if model.branch == "right" else -1.0
-        if np.any(sgn * pts[:, k] <= 0):
-            raise DomainError(f"{what} leaves the {model.branch} branch of {model}")
-
-
-def _guard_segment(model: CanonicalModel, a: np.ndarray, b: np.ndarray) -> None:
-    t = np.linspace(0.0, 1.0, _GUARD_SAMPLES)[:, None]
-    _guard_points(model, a[None, :] * (1 - t) + b[None, :] * t, "segment")
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +224,12 @@ def _refine(model: CanonicalModel, result, what: str):
     return V, err, steps
 
 
-def transport_ode(model: CanonicalModel, path: PathSpec, v0=None,
+def transport_ode(model: CanonicalModel, path: PathSpec,
                   tol: float = 1e-10) -> TransportMap:
     """Parallel transport along path by integrating the transport ODE.
 
-    The full matrix is produced by transporting a basis; pass v0 to get the
-    transported vector via the returned map (matrix @ v0 == apply(v0)).
+    The full matrix is produced by transporting a basis; apply(v) gives the
+    transported vector.
     """
     d = model.sig.d
     eps = model.sig.eps
@@ -272,7 +238,7 @@ def transport_ode(model: CanonicalModel, path: PathSpec, v0=None,
 
     if isinstance(path, Polyline):
         for a, b in zip(path.points[:-1], path.points[1:]):
-            _guard_segment(model, a, b)
+            _guard(model, segment_margin(model, a, b), "segment")
             V, err, _ = _refine(
                 model,
                 kernels.transport_segment(
@@ -308,7 +274,12 @@ def transport_ode(model: CanonicalModel, path: PathSpec, v0=None,
     elif isinstance(path, Parametric):
         ts = np.linspace(path.t0, path.t1, path.samples)
         pts = np.array([np.asarray(path.fn(t), dtype=float) for t in ts])
-        _guard_points(model, pts, "parametric path")
+        # user callables have no closed-form psi: guard on the samples
+        psi = (pts * pts * eps).sum(axis=1) + model.lam
+        _guard(model, float(np.min(model.nu * psi)), "parametric path")
+        if not all(contains(model, x) for x in pts):
+            raise DomainError(f"parametric path leaves the {model.branch} "
+                              f"branch of {model}")
 
         def rhs(t, y):
             g = np.asarray(path.fn(t), dtype=float)
@@ -328,9 +299,6 @@ def transport_ode(model: CanonicalModel, path: PathSpec, v0=None,
     else:
         raise TypeError(f"unsupported path specification: {type(path).__name__}")
 
-    # v0 is accepted for call-site symmetry with the closed forms; the
-    # transported vector is matrix @ v0 via apply()
-    del v0
     return TransportMap(
         matrix=V,
         from_point=start,
@@ -345,21 +313,13 @@ def transport_ode(model: CanonicalModel, path: PathSpec, v0=None,
 
 
 def _check_ray(model: CanonicalModel, ray: RaySegment) -> None:
-    qe = model.sig.q(ray.e_r)
-    if abs(qe) < 1e-12 * float(ray.e_r @ ray.e_r):
+    ee = float(ray.e_r @ ray.e_r)
+    if ee == 0.0:
+        raise ValueError("ray direction e_r must be nonzero")
+    if abs(model.sig.q(ray.e_r)) < 1e-12 * ee:
         raise DomainError("ray closed form needs q(e_r) != 0; "
                           "use transport_lightcone for null rays")
-    # psi(t) = q(e_r) t^2 + lambda: exact root check on [t0, t1]
-    lo, hi = min(ray.t0, ray.t1), max(ray.t0, ray.t1)
-    ratio = -model.lam / qe
-    if ratio >= 0:
-        root = math.sqrt(ratio)
-        for s in (root, -root):
-            if lo - 1e-15 <= s <= hi + 1e-15:
-                raise DomainError("ray segment crosses psi = 0")
-    npts = _GUARD_SAMPLES
-    ts = np.linspace(ray.t0, ray.t1, npts)[:, None]
-    _guard_points(model, ts * ray.e_r[None, :], "ray segment")
+    _guard(model, segment_margin(model, ray.start, ray.end), "ray segment")
 
 
 def transport_ray(model: CanonicalModel, e_r, t0: float, t1: float) -> TransportMap:
@@ -484,9 +444,7 @@ def _arc_data(model: CanonicalModel, arc: Arc) -> dict:
         pnt = lambda th: math.cos(th) * c0 + math.sin(th) * c1
     else:
         pnt = lambda th: math.cosh(th) * c0 + math.sinh(th) * c1
-    thetas = np.linspace(arc.theta0, arc.theta1, _GUARD_SAMPLES)
-    pts = np.array([pnt(th) for th in thetas])
-    _guard_points(model, pts, "arc")
+    _guard(model, arc_margin(model, c0, c1, arc.theta0, arc.theta1), "arc")
     return {
         "kind": kind,
         "c0": c0,
@@ -499,8 +457,10 @@ def _arc_data(model: CanonicalModel, arc: Arc) -> dict:
     }
 
 
-def _arc_from_plane(model: CanonicalModel, plane, r: float, theta0: float,
-                    theta1: float) -> Arc:
+def path_arc(model: CanonicalModel, plane, r: float, theta0: float,
+             theta1: float) -> Arc:
+    """Arc path in a coordinate plane (i, j) or a q-orthonormal pair (u, w),
+    ready for transport_ode or holonomy_loop."""
     if (isinstance(plane, tuple) and len(plane) == 2
             and all(isinstance(i, (int, np.integer)) for i in plane)):
         i, j = plane
@@ -515,13 +475,6 @@ def _arc_from_plane(model: CanonicalModel, plane, r: float, theta0: float,
     return Arc(u, w, r, theta0, theta1)
 
 
-def path_arc(model: CanonicalModel, plane, r: float, theta0: float,
-             theta1: float) -> Arc:
-    """Arc path in a coordinate plane (i, j) or a q-orthonormal pair (u, w),
-    ready for transport_ode or holonomy_loop."""
-    return _arc_from_plane(model, plane, r, theta0, theta1)
-
-
 def transport_arc(model: CanonicalModel, plane, r: float, theta0: float,
                   theta1: float) -> TransportMap:
     """Closed-form transport along an equipotential arc.
@@ -531,7 +484,7 @@ def transport_arc(model: CanonicalModel, plane, r: float, theta0: float,
     frame (e_r, e_theta); the q-orthocomplement of the plane is preserved
     pointwise.
     """
-    arc = _arc_from_plane(model, plane, r, theta0, theta1)
+    arc = path_arc(model, plane, r, theta0, theta1)
     data = _arc_data(model, arc)
     sig = model.sig
     d = sig.d
@@ -622,7 +575,7 @@ def conjugate_rotation_angle(matrix2: np.ndarray) -> float:
 def circle_loop(model: CanonicalModel, r: float,
                 plane: tuple = (1, 2)) -> Arc:
     """Full-turn circular loop of radius r in a definite coordinate plane."""
-    arc = _arc_from_plane(model, plane, r, 0.0, 2.0 * math.pi)
+    arc = path_arc(model, plane, r, 0.0, 2.0 * math.pi)
     if _arc_data(model, arc)["eps_pm"] < 0:
         raise ValueError("circular loops need a definite plane (hyperbolic "
                          "arcs never close)")

@@ -3,8 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from stiffgeo import geodesics, metrics, models
 from stiffgeo.cli import run
 
 CLASSIFY_EXAMPLE = [
@@ -157,6 +159,11 @@ def test_geodesic_csv(tmp_path, capsys):
     lines = out_file.read_text().splitlines()
     assert lines[0] == "t,x1,x2"
     assert len(lines) == 6
+    line = geodesics.GeodesicLine(models.parse_model("S(2,0;-1;-)"),
+                                  [0.0, 0.0], [1.0, 0.0])
+    ts = np.linspace(0.0, 1.0, 5)
+    pts = geodesics.solve_geodesic(line, 0.0, 0.0, 1.0).sample(ts)
+    assert out_file.read_text() == metrics.trace_csv(ts, pts)
 
 
 def test_h_geodesic_circle(tmp_path, capsys):
@@ -286,13 +293,24 @@ def test_exit_code_parse_errors(capsys):
 
 
 def test_exit_code_domain_error(capsys):
-    code, out, err = _invoke(capsys, [
-        "travel-time", "--model", "S(2,0;-1;-)", "--from", "0,0",
-        "--to", "2,0"])
-    assert code == 2
-    payload = _strict_loads(out)
-    assert payload["error"]["type"] == "domain"
-    assert payload["schema"] == "stiffgeo/1"
+    for argv in (["travel-time", "--model", "S(2,0;-1;-)", "--from", "0,0",
+                  "--to", "2,0"],
+                 # grazing chord: psi dips to -2e-5 near x = 0
+                 ["travel-time", "--model", "S(2,0;-1;+)",
+                  "--from=-2,0.99999", "--to=2.01,0.99999"]):
+        code, out, err = _invoke(capsys, argv)
+        assert code == 2
+        payload = _strict_loads(out)
+        assert payload["error"]["type"] == "domain"
+        assert payload["schema"] == "stiffgeo/1"
+
+
+def test_exit_code_zero_ray_direction(capsys):
+    argv = ["transport", "--model", "S(2,0;-1;-)", "--ray", "0,0"]
+    for extra in ([], ["--ode"]):
+        code, out, err = _invoke(capsys, argv + extra)
+        assert code == 3 and out == ""
+        assert "nonzero" in err
 
 
 def test_byte_identical_determinism(capsys):

@@ -342,6 +342,9 @@ def test_travel_time_guards():
     with pytest.raises(DomainError):
         # the chord through the disk exits the exterior domain
         travel_time(exterior, [2.0, 0.0], [-2.0, 0.0])
+    with pytest.raises(DomainError):
+        # grazing chord: psi dips to -2e-5 between 257-point samples
+        travel_time(exterior, [-2.0, 0.99999], [2.01, 0.99999])
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,13 @@ def test_lightcone_formula_and_ode():
     assert ode.matrix @ v0 == pytest.approx(want, rel=1e-8)
 
 
+def test_polyline_guard_grazing_chord():
+    """psi dips to -2e-5 near x = 0, between the points a sampled guard saw."""
+    exterior = parse_model("S(2,0;-1;+)")
+    with pytest.raises(DomainError):
+        transport_ode(exterior, Polyline([[-2.0, 0.99999], [2.01, 0.99999]]))
+
+
 def test_lightcone_guards():
     model = parse_model("S(1,1;-1;-)")
     with pytest.raises(DomainError):
