@@ -1,31 +1,22 @@
 """Build the optional compiled integrator core.
 
 The package works without the extension (a pure NumPy fallback is selected at
-import time), so any failure here degrades to a source-only install instead of
-aborting it.
+import time), so optional=True turns a compiler failure into a pure-Python
+install instead of aborting it.
 """
 
-from setuptools import setup
+import numpy
+from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    import numpy
-    from Cython.Build import cythonize
-    from setuptools import Extension
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "stiffgeo._fastkernels",
-                sources=["src/stiffgeo/_fastkernels.pyx"],
-                include_dirs=[numpy.get_include()],
-                define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        language_level=3,
-    )
-except Exception as exc:  # pragma: no cover - exercised only on broken toolchains
-    print(f"stiffgeo: skipping compiled core ({exc!r}); pure Python fallback will be used")
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "stiffgeo._fastkernels",
+            sources=["src/stiffgeo/_fastkernels.c"],
+            include_dirs=[numpy.get_include()],
+            define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
+            extra_compile_args=["-O3"],
+            optional=True,
+        )
+    ]
+)

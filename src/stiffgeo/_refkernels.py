@@ -2,9 +2,10 @@
 
 Reference implementation of the adaptive Dormand-Prince 5(4) stepping used for
 parallel transport and conformal geodesics.  The compiled core in
-_fastkernels.pyx implements exactly the same tableau and control logic; this
-module is the fallback selected when the extension is unavailable and the
-ground truth the extension is tested against.
+_fastkernels.c implements exactly the same tableau and control logic, with no
+limit on dimensions or columns; this module is the fallback selected when the
+extension is unavailable and the ground truth the extension is tested against
+(tests/test_kernels.py compares the two step for step).
 """
 
 from __future__ import annotations

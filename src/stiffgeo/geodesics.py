@@ -399,7 +399,7 @@ def travel_time(model: CanonicalModel, a, b, alpha: float = 1.0) -> TravelTime:
         return TravelTime(0.0, "Null",
                           "null chord: the isochrone speed vanishes "
                           "identically, no information")
-    if segment_margin(model, a, b) <= 0.0:
+    if not segment_margin(model, a, b) > 0.0:
         raise DomainError("segment exits the domain")
     line = GeodesicLine(model, a, e)
     case = reduce_line(line)
@@ -441,8 +441,14 @@ def triangle_experiment(s: float) -> TriangleResult:
 
 def find_s0(tol: float = 1e-6) -> float:
     """Bisection for the crossover where the chord time equals the leg sum."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     lo, hi = 0.05, 0.95
-    g = lambda s: triangle_experiment(s).T_ab - triangle_experiment(s).T_sum
+
+    def g(s):
+        res = triangle_experiment(s)
+        return res.T_ab - res.T_sum
+
     glo, ghi = g(lo), g(hi)
     if not (glo < 0 < ghi):
         raise AssertionError("crossover bracket failed")

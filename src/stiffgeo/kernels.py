@@ -1,8 +1,11 @@
 """Integrator backend selection.
 
-The compiled extension (_fastkernels) is preferred when it imported cleanly;
-the pure NumPy reference (_refkernels) is the fallback and is always available
-for cross-checking.  Set STIFFGEO_PURE=1 to force the reference backend.
+The compiled extension (_fastkernels, built from the hand-written
+_fastkernels.c when a C compiler is present at install time) is preferred
+when it imported cleanly; the pure NumPy reference (_refkernels) is the
+fallback and is always available for cross-checking.  Both accept the same
+inputs and take the same steps.  Set STIFFGEO_PURE=1 to force the reference
+backend.
 """
 
 from __future__ import annotations
@@ -59,7 +62,5 @@ def integrate_adaptive(f, t0, t1, y0, rtol=1e-10, atol=1e-10, max_steps=10_000_0
     y, err, steps, status = reference._integrate(
         f, float(t0), float(t1), y0, rtol, atol, max_steps
     )
-    if status == STATUS_BOUNDARY:
-        raise DomainError("path left the domain: psi passed through zero")
     raise_for_status(status, "generic path")
     return y, err, steps

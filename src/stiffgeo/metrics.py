@@ -134,6 +134,10 @@ def h_geodesic(model: CanonicalModel, x0, v0, t_span: Tuple[float, float],
     """Integrate the h-geodesic from (x0, v0) over t_span, sampling the trace."""
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2, got {samples}")
+    if not all(map(math.isfinite, t_span)):
+        raise ValueError(f"t_span must be finite, got {t_span}")
     if not contains(model, x0):
         raise DomainError(f"start {x0} outside model {model}")
     grid = np.linspace(t_span[0], t_span[1], samples)

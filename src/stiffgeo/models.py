@@ -138,7 +138,7 @@ def format_model(M: CanonicalModel) -> str:
 def contains(M: CanonicalModel, x) -> bool:
     """Strict domain membership nu (q + lambda) > 0, plus the branch sign."""
     x = np.asarray(x, dtype=float)
-    if M.nu * M.psi(x) <= 0.0:
+    if not M.nu * M.psi(x) > 0.0:  # also refuses NaN
         return False
     bc = M.branch_coordinate
     if bc is not None and M.branch == BRANCH_RIGHT:

@@ -28,6 +28,20 @@ _GUARD_SAMPLES = 257
 # path specifications
 
 
+def _finite(name: str, value) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _finite_vector(name: str, value) -> np.ndarray:
+    value = np.asarray(value, dtype=float)
+    if not np.isfinite(value).all():
+        raise ValueError(f"{name} must have finite entries")
+    return value
+
+
 @dataclass(frozen=True)
 class Polyline:
     """Piecewise-linear path through the listed points (in order)."""
@@ -89,9 +103,9 @@ class RaySegment:
     t1: float
 
     def __init__(self, e_r, t0: float, t1: float) -> None:
-        object.__setattr__(self, "e_r", np.asarray(e_r, dtype=float))
-        object.__setattr__(self, "t0", float(t0))
-        object.__setattr__(self, "t1", float(t1))
+        object.__setattr__(self, "e_r", _finite_vector("e_r", e_r))
+        object.__setattr__(self, "t0", _finite("t0", t0))
+        object.__setattr__(self, "t1", _finite("t1", t1))
 
     @property
     def start(self) -> np.ndarray:
@@ -122,11 +136,11 @@ class Arc:
     theta1: float
 
     def __init__(self, u, w, r: float, theta0: float, theta1: float) -> None:
-        object.__setattr__(self, "u", np.asarray(u, dtype=float))
-        object.__setattr__(self, "w", np.asarray(w, dtype=float))
-        object.__setattr__(self, "r", float(r))
-        object.__setattr__(self, "theta0", float(theta0))
-        object.__setattr__(self, "theta1", float(theta1))
+        object.__setattr__(self, "u", _finite_vector("u", u))
+        object.__setattr__(self, "w", _finite_vector("w", w))
+        object.__setattr__(self, "r", _finite("r", r))
+        object.__setattr__(self, "theta0", _finite("theta0", theta0))
+        object.__setattr__(self, "theta1", _finite("theta1", theta1))
 
 
 PathSpec = Union[Polyline, Parametric, RaySegment, Arc]
@@ -161,16 +175,6 @@ class TransportMap:
     def det(self) -> float:
         return float(np.linalg.det(self.matrix))
 
-    def then(self, other: "TransportMap") -> "TransportMap":
-        """Concatenation: first self (A->B), then other (B->C)."""
-        return TransportMap(
-            matrix=other.matrix @ self.matrix,
-            from_point=self.from_point,
-            to_point=other.to_point,
-            method=self.method if self.method == other.method else "ODE",
-            est_error=self.est_error + other.est_error,
-        )
-
     def to_json_dict(self) -> dict:
         out = {
             "matrix": [[float(v) for v in row] for row in self.matrix],
@@ -203,8 +207,8 @@ class CharacteristicFrequency:
 
 
 def _guard(model: CanonicalModel, margin: float, what: str) -> None:
-    """Refuse a path whose smallest nu*psi is not above REFUSE_PSI."""
-    if margin <= 0.0:
+    """Refuse a path whose smallest nu*psi is not above REFUSE_PSI (or NaN)."""
+    if not margin > 0.0:
         raise DomainError(f"{what} leaves the domain of {model}")
     if margin < REFUSE_PSI:
         raise DomainError(
@@ -444,7 +448,12 @@ def _arc_data(model: CanonicalModel, arc: Arc) -> dict:
         pnt = lambda th: math.cos(th) * c0 + math.sin(th) * c1
     else:
         pnt = lambda th: math.cosh(th) * c0 + math.sinh(th) * c1
-    _guard(model, arc_margin(model, c0, c1, arc.theta0, arc.theta1), "arc")
+    try:
+        margin = arc_margin(model, c0, c1, arc.theta0, arc.theta1)
+    except OverflowError:
+        raise DomainError(f"arc from theta = {arc.theta0} to {arc.theta1} runs "
+                          "past the floating-point range") from None
+    _guard(model, margin, "arc")
     return {
         "kind": kind,
         "c0": c0,
@@ -492,7 +501,11 @@ def transport_arc(model: CanonicalModel, plane, r: float, theta0: float,
     s = characteristic_frequency(model, data["q_gamma"], eps_pm)
     s_val = eps_pm * (data["q_gamma"] - model.lam) / (data["q_gamma"] + model.lam)
     t = arc.theta1 - arc.theta0
-    M2 = oscillator_matrix(s_val, eps_pm, t)
+    try:
+        M2 = oscillator_matrix(s_val, eps_pm, t)
+    except OverflowError:
+        raise DomainError("transport along the arc runs past the "
+                          "floating-point range") from None
     moving = np.eye(d)
     moving[:2, :2] = M2
 

@@ -297,7 +297,12 @@ def test_exit_code_domain_error(capsys):
                   "--to", "2,0"],
                  # grazing chord: psi dips to -2e-5 near x = 0
                  ["travel-time", "--model", "S(2,0;-1;+)",
-                  "--from=-2,0.99999", "--to=2.01,0.99999"]):
+                  "--from=-2,0.99999", "--to=2.01,0.99999"],
+                 # cosh overflows a double: on the path, then in the transport
+                 ["transport", "--model", "S(1,1;1;+)", "--arc-plane", "1,2",
+                  "--theta1", "800"],
+                 ["transport", "--model", "S(1,1;-1;-)", "--arc-plane", "1,2",
+                  "--radius", "0.9", "--theta1", "300"]):
         code, out, err = _invoke(capsys, argv)
         assert code == 2
         payload = _strict_loads(out)
@@ -311,6 +316,22 @@ def test_exit_code_zero_ray_direction(capsys):
         code, out, err = _invoke(capsys, argv + extra)
         assert code == 3 and out == ""
         assert "nonzero" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["transport", "--model", "S(1,1;1;+)", "--ray", "1,0", "--t0", "nan"],
+    ["transport", "--model", "S(1,1;1;+)", "--arc-plane", "1,2", "--theta1", "nan"],
+    ["triangle", "--s", "0.9", "--find-s0", "--tol", "-1"],
+    ["h-geodesic", "--model", "S(2,0;1;+)", "--from", "0.5774,0", "--vel",
+     "0,1.7778", "--t1", "2", "--samples", "0"],
+    ["h-geodesic", "--model", "S(2,0;1;+)", "--from", "0.5774,0", "--vel",
+     "0,1.7778", "--t1", "inf"],
+], ids=["ray-t0-nan", "arc-theta1-nan", "find-s0-negative-tol", "zero-samples",
+        "h-geodesic-t1-inf"])
+def test_exit_code_invalid_numbers(capsys, argv):
+    code, out, err = _invoke(capsys, argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_byte_identical_determinism(capsys):

@@ -1,12 +1,52 @@
 """Integrator kernels: accuracy oracles and backend agreement."""
 
+import importlib.machinery
+import importlib.util
 import math
+import shlex
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stiffgeo import kernels
 from stiffgeo.kernels import reference
+
+
+@pytest.fixture(scope="session")
+def fastkernels(tmp_path_factory):
+    """The compiled backend, built from src/stiffgeo/_fastkernels.c into a
+    temporary directory (never into src/) and loaded under its package name.
+    Skips only when the platform's C compiler is missing."""
+    ldshared = shlex.split(sysconfig.get_config_var("LDSHARED") or "cc -shared")
+    if shutil.which(ldshared[0]) is None:
+        pytest.skip(f"no C compiler: {ldshared[0]} is not installed")
+    src = Path(kernels.__file__).with_name("_fastkernels.c")
+    so = tmp_path_factory.mktemp("fastkernels") / (
+        "_fastkernels" + sysconfig.get_config_var("EXT_SUFFIX"))
+    cmd = [*ldshared, *shlex.split(sysconfig.get_config_var("CCSHARED") or ""),
+           "-O3", "-I" + sysconfig.get_paths()["include"], "-I" + np.get_include(),
+           "-DNPY_NO_DEPRECATED_API=NPY_1_7_API_VERSION", str(src), "-o", str(so)]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    name = "stiffgeo._fastkernels"
+    loader = importlib.machinery.ExtensionFileLoader(name, str(so))
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(name, so, loader=loader))
+    loader.exec_module(module)
+    assert module.BACKEND == "compiled"
+    return module
+
+
+def _assert_same(a, b, atol=1e-13):
+    """Same status and step count on both backends, outputs within atol."""
+    assert a[3] == b[3]
+    assert a[2] == b[2]                       # identical step sequences
+    assert np.shape(a[0]) == np.shape(b[0])
+    np.testing.assert_allclose(a[0], b[0], rtol=0.0, atol=atol)
 
 
 def test_adaptive_integrator_exponential():
@@ -58,45 +98,68 @@ def test_backend_flag_consistency():
     assert reference.BACKEND == "python"
 
 
-@pytest.mark.skipif(kernels.BACKEND != "compiled",
-                    reason="compiled extension not built")
-def test_compiled_matches_reference_transport():
-    from stiffgeo import _fastkernels
-    eps = np.array([1.0, 1.0])
-    V0 = np.column_stack([np.eye(2), np.array([0.3, -0.7])])
-    args = (kernels.PATH_TRIG, np.array([0.8, 0.0]), np.array([0.0, 0.8]),
-            0.1, 2.0, -1.0, eps, V0)
-    a = _fastkernels.transport_segment(*args)
+def _disk17():
+    """A line through the 17-dimensional unit ball S(17,0;-1;-), transporting
+    a full basis: 289 state entries."""
+    c0 = np.linspace(0.1, -0.1, 17)
+    c1 = 0.02 * np.cos(np.arange(17.0))
+    return (kernels.PATH_LINE, c0, c1, 0.0, 1.0, -1.0, np.ones(17), np.eye(17))
+
+
+# case -> (expected status, transport_segment arguments)
+TRANSPORT_CASES = {
+    "trig-3-columns": (kernels.STATUS_OK, (
+        kernels.PATH_TRIG, np.array([0.8, 0.0]), np.array([0.0, 0.8]), 0.1, 2.0,
+        -1.0, np.array([1.0, 1.0]),
+        np.column_stack([np.eye(2), np.array([0.3, -0.7])]))),
+    "line-d17": (kernels.STATUS_OK, _disk17()),
+    "lists": (kernels.STATUS_OK, (
+        kernels.PATH_HYP, [0.6, 0.1], [0.2, 0.3], 0, 1, 1, [1, -1], [[1, 0], [0, 1]])),
+    # psi = 4 at the start is below the floor 5: stopped before the first step
+    "psi-floor": (kernels.STATUS_BOUNDARY, (
+        kernels.PATH_LINE, np.array([2.0, 0.0]), np.array([2.0, 4.0]), 0.0, 1.0,
+        0.0, np.array([1.0, -1.0]), np.eye(2), 1e-10, 1e-10, 10_000_000, 5.0)),
+    # a NaN error estimate shrinks the step on both backends until underflow
+    "nan-vector": (kernels.STATUS_UNDERFLOW, (
+        kernels.PATH_LINE, np.array([0.1, 0.0]), np.array([0.5, 0.0]), 0.0, 1.0,
+        -1.0, np.array([1.0, 1.0]), np.array([math.nan, 1.0]))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRANSPORT_CASES))
+def test_compiled_matches_reference_transport(fastkernels, case):
+    status, args = TRANSPORT_CASES[case]
+    a = fastkernels.transport_segment(*args)
     b = reference.transport_segment(*args)
-    assert a[3] == b[3] == kernels.STATUS_OK
-    assert a[2] == b[2]                       # identical step sequences
-    assert np.abs(a[0] - b[0]).max() < 1e-13
+    _assert_same(a, b)
+    assert a[3] == status
 
 
-@pytest.mark.skipif(kernels.BACKEND != "compiled",
-                    reason="compiled extension not built")
-def test_compiled_does_not_mutate_input():
-    from stiffgeo import _fastkernels
+def test_compiled_does_not_mutate_input(fastkernels):
     eps = np.array([1.0, 1.0])
     V0 = np.eye(2)
     keep = V0.copy()
-    _fastkernels.transport_segment(
+    fastkernels.transport_segment(
         kernels.PATH_LINE, np.array([0.1, 0.0]), np.array([0.5, 0.0]),
         0.0, 1.0, -1.0, eps, V0)
     assert np.array_equal(V0, keep)
 
 
-@pytest.mark.skipif(kernels.BACKEND != "compiled",
-                    reason="compiled extension not built")
-def test_compiled_matches_reference_h_geodesic():
-    from stiffgeo import _fastkernels
-    eps = np.array([1.0, 1.0])
-    grid = np.linspace(0.0, 1.5, 11)
-    args = (np.array([0.5, 0.0]), np.array([0.1, 0.4]), 1.0, eps, grid)
-    a = _fastkernels.h_geodesic_sample(*args)
+@pytest.mark.parametrize("grid", [np.linspace(0.0, 1.5, 11), [0.3]],
+                         ids=["11-rows", "1-row-list"])
+def test_compiled_matches_reference_h_geodesic(fastkernels, grid):
+    args = (np.array([0.5, 0.0]), [0.1, 0.4], 1.0, np.array([1.0, 1.0]), grid)
+    a = fastkernels.h_geodesic_sample(*args)
     b = reference.h_geodesic_sample(*args)
-    assert a[3] == b[3] == kernels.STATUS_OK
-    assert np.abs(a[0] - b[0]).max() < 1e-12
+    _assert_same(a, b, atol=1e-12)
+    assert a[3] == kernels.STATUS_OK
+    assert a[0].shape == (len(grid), 4)
+
+
+def test_empty_grid_raises_on_both_backends(fastkernels):
+    for backend in (fastkernels, reference):
+        with pytest.raises(IndexError):
+            backend.h_geodesic_sample([0.5, 0.0], [0.1, 0.4], 1.0, [1.0, 1.0], [])
 
 
 def test_h_geodesic_boundary_floor_guard():

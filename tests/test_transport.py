@@ -10,6 +10,7 @@ from stiffgeo.models import contains, interior_point, parse_model
 from stiffgeo.projconn import curvature, form_from_potential
 from stiffgeo.transport import (
     Arc,
+    Parametric,
     Polyline,
     RaySegment,
     characteristic_frequency,
@@ -130,6 +131,75 @@ def test_lightcone_guards():
         transport_lightcone(parse_model("S(1,1;0;+)"),
                             np.array([1.0, 1.0]), 0.5, 2.0,
                             np.array([1.0, 0.0]))
+
+
+def test_path_specs_reject_non_finite_parameters():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            RaySegment([1.0, 0.0], bad, 0.5)
+        with pytest.raises(ValueError):
+            RaySegment([1.0, 0.0], 0.1, bad)
+        with pytest.raises(ValueError):
+            RaySegment([bad, 0.0], 0.1, 0.5)
+        for args in ((bad, 0.0, 1.0), (0.5, bad, 1.0), (0.5, 0.0, bad)):
+            with pytest.raises(ValueError):
+                Arc([1.0, 0.0], [0.0, 1.0], *args)
+        with pytest.raises(ValueError):
+            transport_arc(DISK, (1, 2), 0.5, 0.0, bad)
+
+
+def test_nan_margin_and_nan_point_are_refused():
+    from stiffgeo.transport import _guard
+    with pytest.raises(DomainError):
+        _guard(DISK, math.nan, "path")
+    assert not contains(DISK, [math.nan, 0.0])
+
+
+def test_hyperbolic_arc_past_float_range_is_refused():
+    """cosh(800) overflows a double: the arc is refused, not a traceback."""
+    model = parse_model("S(1,1;1;+)")
+    with pytest.raises(DomainError):
+        transport_arc(model, (1, 2), 1.0, 0.0, 800.0)
+    with pytest.raises(DomainError):
+        transport_ode(model, path_arc(model, (1, 2), 1.0, 0.0, 800.0))
+    # the path fits, but the oscillator cosh(omega theta) has omega^2 ~ 10
+    with pytest.raises(DomainError):
+        transport_arc(parse_model("S(1,1;-1;-)"), (1, 2), 0.9, 0.0, 300.0)
+
+
+# ---------------------------------------------------------------------------
+# parametric paths
+
+
+def _circle(r):
+    return lambda t: r * np.array([math.cos(t), math.sin(t)])
+
+
+def test_parametric_circle_matches_closed_form_arc():
+    path = Parametric(_circle(0.5), 0.0, 2.0 * math.pi)
+    ode = transport_ode(DISK, path, tol=1e-11)
+    closed = transport_arc(DISK, (1, 2), 0.5, 0.0, 2.0 * math.pi)
+    assert np.abs(ode.matrix - closed.matrix).max() < 1e-8
+    assert ode.from_point == pytest.approx([0.5, 0.0])
+
+
+def test_parametric_path_crossing_boundary_is_refused():
+    """t -> (t, 0) for t in [0, 2] leaves the unit disk at t = 1."""
+    path = Parametric(lambda t: np.array([t, 0.0]), 0.0, 2.0)
+    with pytest.raises(DomainError):
+        transport_ode(DISK, path)
+
+
+def test_parametric_exact_velocity_agrees_with_central_differences():
+    dcircle = lambda t: 0.5 * np.array([-math.sin(t), math.cos(t)])
+    exact = Parametric(_circle(0.5), 0.0, 2.0, dfn=dcircle)
+    approx = Parametric(_circle(0.5), 0.0, 2.0)
+    for t in (0.0, 0.7, 2.0):
+        assert approx.velocity(t) == pytest.approx(dcircle(t), abs=1e-8)
+        assert np.array_equal(exact.velocity(t), dcircle(t))
+    a = transport_ode(DISK, exact, tol=1e-11).matrix
+    b = transport_ode(DISK, approx, tol=1e-11).matrix
+    assert np.abs(a - b).max() < 1e-7
 
 
 # ---------------------------------------------------------------------------
