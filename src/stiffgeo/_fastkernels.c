@@ -1,9 +1,12 @@
 /* Compiled Dormand-Prince 5(4) kernels.
 
-   Same tableau, step control, status codes and contract as _refkernels; only
-   the inner loops are C.  Work arrays are sized from the input, so there is
-   no cap on dimensions or columns.  Integration runs with the GIL released,
-   on private copies of the inputs. */
+   Same tableau, step control, status codes and contract as _refkernels, whose
+   scalar loops perform the same floating-point operations in the same order,
+   so the two backends agree bit for bit (build with -ffp-contract=off, so
+   that no multiply and add are fused into one FMA, for that to hold on every
+   platform).  Work arrays are sized from the input, so there is no cap on
+   dimensions or columns.  Integration runs with the GIL released, on private
+   copies of the inputs. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -229,6 +232,10 @@ static PyObject *transport_segment(PyObject *self, PyObject *args, PyObject *kwd
         return NULL;
     if (kind != PATH_LINE && kind != PATH_TRIG && kind != PATH_HYP)
         return PyErr_Format(PyExc_ValueError, "unknown path kind");
+    if (!isfinite(t0) || !isfinite(t1))
+        return PyErr_Format(PyExc_ValueError, "integration times must be finite");
+    if (!(psi_floor > 0.0))
+        return PyErr_Format(PyExc_ValueError, "psi_floor must be positive");
     if (!(in[0] = vector(c0o)) || !(in[1] = vector(c1o)) || !(in[2] = vector(epso)))
         goto done;
     V0 = (PyArrayObject *)PyArray_FROMANY(V0o, NPY_DOUBLE, 0, 0, NPY_ARRAY_IN_ARRAY);
@@ -288,6 +295,8 @@ static PyObject *h_geodesic_sample(PyObject *self, PyObject *args, PyObject *kwd
                                      &x0o, &v0o, &lam, &epso, &tgo, &rtol, &atol,
                                      &max_steps, &psi_floor))
         return NULL;
+    if (!(psi_floor > 0.0))
+        return PyErr_Format(PyExc_ValueError, "psi_floor must be positive");
     if (!(in[0] = vector(x0o)) || !(in[1] = vector(v0o)) || !(in[2] = vector(epso))
         || !(tg = vector(tgo)))
         goto done;
@@ -311,6 +320,11 @@ static PyObject *h_geodesic_sample(PyObject *self, PyObject *args, PyObject *kwd
         goto done;
     times = y + 3 * d;
     memcpy(times, PyArray_DATA(tg), nt * sizeof(double));
+    for (row = 0; row < nt; row++)
+        if (!isfinite(times[row])) {
+            PyErr_SetString(PyExc_ValueError, "integration times must be finite");
+            goto done;
+        }
     rows = (double *)PyArray_DATA(out);
     memcpy(rows, y, n * sizeof(double));
     pb = (Problem){.geodesic = 1, .d = d, .ncols = 1, .lam = lam, .psi_floor = psi_floor,

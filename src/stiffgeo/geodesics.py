@@ -295,6 +295,8 @@ class GeodesicSolution:
 def solve_geodesic(line: GeodesicLine, t0: float, s0: float,
                    sdot0: float) -> GeodesicSolution:
     """Geodesic with s(t0) = s0, s'(t0) = sdot0 on its maximal interval."""
+    if not all(map(math.isfinite, (t0, s0, sdot0))):
+        raise ValueError(f"t0, s0 and sdot0 must be finite, got {(t0, s0, sdot0)}")
     if sdot0 == 0.0:
         raise ValueError("initial speed must be nonzero (degenerate geodesic)")
     if not contains(line.model, line.point(s0)):
@@ -386,6 +388,8 @@ def travel_time(model: CanonicalModel, a, b, alpha: float = 1.0) -> TravelTime:
     through the line's normal form; null chords carry no information and are
     flagged.
     """
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"gauge alpha must be finite and positive, got {alpha}")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     for p in (a, b):

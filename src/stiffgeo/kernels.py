@@ -2,10 +2,10 @@
 
 The compiled extension (_fastkernels, built from the hand-written
 _fastkernels.c when a C compiler is present at install time) is preferred
-when it imported cleanly; the pure NumPy reference (_refkernels) is the
-fallback and is always available for cross-checking.  Both accept the same
-inputs and take the same steps.  Set STIFFGEO_PURE=1 to force the reference
-backend.
+when it imported cleanly; the pure-Python scalar reference (_refkernels) is
+the fallback and is always available for cross-checking.  Both accept the
+same inputs and give bit-identical results.  Set STIFFGEO_PURE=1 to force
+the reference backend.
 """
 
 from __future__ import annotations
@@ -55,12 +55,17 @@ def integrate_adaptive(f, t0, t1, y0, rtol=1e-10, atol=1e-10, max_steps=10_000_0
     """Adaptive RK45 for an arbitrary Python right-hand side.
 
     Used for user-supplied parametric paths where the closed path kinds do not
-    apply; the hot built-in paths go through transport_segment instead.
+    apply; the hot built-in paths go through transport_segment instead.  f
+    takes and returns arrays shaped like y0; it may raise
+    reference._BoundaryHit, which ends the sweep with a DomainError.
     Returns (y, err_accum, steps); raises on non-OK status.
     """
     y0 = np.asarray(y0, dtype=float)
-    y, err, steps, status = reference._integrate(
-        f, float(t0), float(t1), y0, rtol, atol, max_steps
-    )
+
+    def rhs(t, y):
+        return np.asarray(f(t, np.reshape(y, y0.shape)), dtype=float).ravel().tolist()
+
+    y, err, steps, status = reference._drive(
+        rhs, float(t0), float(t1), y0.ravel().tolist(), rtol, atol, max_steps)
     raise_for_status(status, "generic path")
-    return y, err, steps
+    return np.reshape(y, y0.shape), err, steps

@@ -136,6 +136,8 @@ def h_geodesic(model: CanonicalModel, x0, v0, t_span: Tuple[float, float],
     v0 = np.asarray(v0, dtype=float)
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"gauge alpha must be finite and positive, got {alpha}")
     if not all(map(math.isfinite, t_span)):
         raise ValueError(f"t_span must be finite, got {t_span}")
     if not contains(model, x0):

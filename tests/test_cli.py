@@ -326,8 +326,15 @@ def test_exit_code_zero_ray_direction(capsys):
      "0,1.7778", "--t1", "2", "--samples", "0"],
     ["h-geodesic", "--model", "S(2,0;1;+)", "--from", "0.5774,0", "--vel",
      "0,1.7778", "--t1", "inf"],
+    ["h-geodesic", "--model", "S(2,0;1;+)", "--from", "0.5774,0", "--vel",
+     "0,1.7778", "--t1", "2", "--alpha", "0"],
+    ["travel-time", "--model", "S(2,0;-1;-)", "--from", "0,0", "--to", "0.9,0",
+     "--alpha", "-1"],
+    ["geodesic", "--model", "S(2,0;1;+)", "--from", "0,0", "--dir", "1,0",
+     "--sdot0", "inf"],
 ], ids=["ray-t0-nan", "arc-theta1-nan", "find-s0-negative-tol", "zero-samples",
-        "h-geodesic-t1-inf"])
+        "h-geodesic-t1-inf", "h-geodesic-alpha-zero", "travel-time-alpha-negative",
+        "geodesic-sdot0-inf"])
 def test_exit_code_invalid_numbers(capsys, argv):
     code, out, err = _invoke(capsys, argv)
     assert code == 3 and out == ""

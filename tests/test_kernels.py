@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stiffgeo import kernels
+from stiffgeo import cli, kernels
 from stiffgeo.kernels import reference
 
 
@@ -27,8 +27,10 @@ def fastkernels(tmp_path_factory):
     src = Path(kernels.__file__).with_name("_fastkernels.c")
     so = tmp_path_factory.mktemp("fastkernels") / (
         "_fastkernels" + sysconfig.get_config_var("EXT_SUFFIX"))
+    # no FMA contraction: the reference rounds every product and every sum
     cmd = [*ldshared, *shlex.split(sysconfig.get_config_var("CCSHARED") or ""),
-           "-O3", "-I" + sysconfig.get_paths()["include"], "-I" + np.get_include(),
+           "-O3", "-ffp-contract=off", "-I" + sysconfig.get_paths()["include"],
+           "-I" + np.get_include(),
            "-DNPY_NO_DEPRECATED_API=NPY_1_7_API_VERSION", str(src), "-o", str(so)]
     done = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
@@ -41,12 +43,20 @@ def fastkernels(tmp_path_factory):
     return module
 
 
-def _assert_same(a, b, atol=1e-13):
-    """Same status and step count on both backends, outputs within atol."""
-    assert a[3] == b[3]
-    assert a[2] == b[2]                       # identical step sequences
-    assert np.shape(a[0]) == np.shape(b[0])
-    np.testing.assert_allclose(a[0], b[0], rtol=0.0, atol=atol)
+@pytest.fixture(params=["compiled", "python"])
+def backend(request):
+    """Each kernel backend in turn: the fastkernels build, then the reference."""
+    if request.param == "compiled":
+        return request.getfixturevalue("fastkernels")
+    return reference
+
+
+def _assert_same(a, b):
+    """Bit-identical outputs, error estimates, step counts and statuses."""
+    assert a[1:] == b[1:]
+    out_a, out_b = np.asarray(a[0]), np.asarray(b[0])
+    assert out_a.shape == out_b.shape
+    assert out_a.tobytes() == out_b.tobytes()
 
 
 def test_adaptive_integrator_exponential():
@@ -119,6 +129,10 @@ TRANSPORT_CASES = {
     "psi-floor": (kernels.STATUS_BOUNDARY, (
         kernels.PATH_LINE, np.array([2.0, 0.0]), np.array([2.0, 4.0]), 0.0, 1.0,
         0.0, np.array([1.0, -1.0]), np.eye(2), 1e-10, 1e-10, 10_000_000, 5.0)),
+    # cosh overflows to inf: NaN errors, the same underflow on both backends
+    "hyp-overflow": (kernels.STATUS_UNDERFLOW, (
+        kernels.PATH_HYP, [0.6, 0.1], [0.2, 0.3], 715.0, 720.0, 1.0, [1.0, -1.0],
+        np.eye(2))),
     # a NaN error estimate shrinks the step on both backends until underflow
     "nan-vector": (kernels.STATUS_UNDERFLOW, (
         kernels.PATH_LINE, np.array([0.1, 0.0]), np.array([0.5, 0.0]), 0.0, 1.0,
@@ -151,7 +165,7 @@ def test_compiled_matches_reference_h_geodesic(fastkernels, grid):
     args = (np.array([0.5, 0.0]), [0.1, 0.4], 1.0, np.array([1.0, 1.0]), grid)
     a = fastkernels.h_geodesic_sample(*args)
     b = reference.h_geodesic_sample(*args)
-    _assert_same(a, b, atol=1e-12)
+    _assert_same(a, b)
     assert a[3] == kernels.STATUS_OK
     assert a[0].shape == (len(grid), 4)
 
@@ -160,6 +174,84 @@ def test_empty_grid_raises_on_both_backends(fastkernels):
     for backend in (fastkernels, reference):
         with pytest.raises(IndexError):
             backend.h_geodesic_sample([0.5, 0.0], [0.1, 0.4], 1.0, [1.0, 1.0], [])
+
+
+def _transport_corpus(rng, count):
+    """Random transport_segment arguments over every path kind, d 2-4, 1-3
+    columns, and random tolerances, psi floors and step budgets, so that
+    every status code turns up."""
+    for _ in range(count):
+        kind = int(rng.integers(3))
+        d, ncols = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        t0 = float(rng.uniform(-1.0, 1.0))
+        t1 = t0 + float(rng.uniform(-1.5, 1.5) if kind != kernels.PATH_TRIG
+                        else rng.uniform(-3.0, 3.0))
+        V0 = rng.normal(size=(d, ncols))
+        yield (kind, 0.6 * rng.normal(size=d), 0.6 * rng.normal(size=d), t0, t1,
+               float(rng.choice([-1.0, 0.0, 1.0])), rng.choice([-1.0, 1.0], d),
+               V0.ravel() if ncols == 1 and rng.random() < 0.5 else V0,
+               10 ** rng.uniform(-12, -5), 10 ** rng.uniform(-12, -5),
+               int(rng.integers(20, 3000)), 10 ** rng.uniform(-12, -0.5))
+
+
+def _h_geodesic_corpus(rng, count):
+    for _ in range(count):
+        d = int(rng.integers(2, 4))
+        t0 = float(rng.uniform(-1.0, 1.0))
+        grid = np.linspace(t0, t0 + float(rng.uniform(-2.0, 2.0)), int(rng.integers(1, 9)))
+        yield (0.4 * rng.normal(size=d), rng.normal(size=d),
+               float(rng.choice([-1.0, 1.0])), rng.choice([-1.0, 1.0], d), grid,
+               10 ** rng.uniform(-12, -6), 10 ** rng.uniform(-12, -6),
+               int(rng.integers(50, 3000)), 10 ** rng.uniform(-12, -1))
+
+
+def test_compiled_matches_reference_bitwise_on_seeded_corpus(fastkernels):
+    """300 transports and 60 h-geodesics: both backends return the same bits."""
+    rng = np.random.default_rng(20231)
+    statuses = set()
+    cases = [("transport_segment", args) for args in _transport_corpus(rng, 300)]
+    cases += [("h_geodesic_sample", args) for args in _h_geodesic_corpus(rng, 60)]
+    for i, (name, args) in enumerate(cases):
+        a = getattr(fastkernels, name)(*args)
+        b = getattr(reference, name)(*args)
+        try:
+            _assert_same(a, b)
+        except AssertionError as exc:
+            raise AssertionError(f"case {i}: {name}{args}") from exc
+        statuses.add(a[3])
+    assert statuses == {kernels.STATUS_OK, kernels.STATUS_MAX_STEPS,
+                        kernels.STATUS_UNDERFLOW, kernels.STATUS_BOUNDARY}
+
+
+@pytest.mark.parametrize("call", ["t0-nan", "t1-inf", "grid-nan", "floor-zero"])
+def test_invalid_inputs_are_refused(backend, call):
+    """Non-finite times never start an integration, and a psi floor of 0
+    (which would let psi = 0 reach a division) is refused."""
+    line = (kernels.PATH_LINE, [0.1, 0.0], [0.5, 0.0])
+    with pytest.raises(ValueError):
+        if call == "t0-nan":
+            backend.transport_segment(*line, math.nan, 1.0, -1.0, [1.0, 1.0], np.eye(2))
+        elif call == "t1-inf":
+            backend.transport_segment(*line, 0.0, math.inf, -1.0, [1.0, 1.0], np.eye(2))
+        elif call == "grid-nan":
+            backend.h_geodesic_sample([0.5, 0.0], [0.1, 0.4], 1.0, [1.0, 1.0],
+                                      [0.0, 0.5, math.nan, 1.5])
+        else:
+            backend.h_geodesic_sample([1.0, 0.0], [0.0, 1.0], -1.0, [1.0, 1.0],
+                                      [0.0, 0.1], psi_floor=0.0)
+
+
+def test_h_geodesic_cli_output_same_on_both_backends(fastkernels, monkeypatch,
+                                                     capsys, tmp_path):
+    """The README h-geodesic example prints the same bytes on either kernel."""
+    printed = []
+    csv = tmp_path / "circle.csv"
+    for sample in (fastkernels.h_geodesic_sample, reference.h_geodesic_sample):
+        monkeypatch.setattr(kernels, "h_geodesic_sample", sample)
+        assert cli.run(["h-geodesic", "--model", "S(2,0;1;+)", "--from", "0.5774,0",
+                        "--vel", "0,1.7778", "--t1", "2", "--out", str(csv)]) == 0
+        printed.append((capsys.readouterr().out, csv.read_bytes()))
+    assert printed[0] == printed[1]
 
 
 def test_h_geodesic_boundary_floor_guard():
