@@ -4,9 +4,11 @@
    scalar loops perform the same floating-point operations in the same order,
    so the two backends agree bit for bit (build with -ffp-contract=off, so
    that no multiply and add are fused into one FMA, for that to hold on every
-   platform).  Work arrays are sized from the input, so there is no cap on
-   dimensions or columns.  Integration runs with the GIL released, on private
-   copies of the inputs. */
+   platform).  A sampled h-geodesic is one sweep over the whole grid, read at
+   the grid times through the 4th-order Dormand-Prince dense output.  Work
+   arrays are sized from the input, so there is no cap on dimensions or
+   columns.  Integration runs with the GIL released, on private copies of the
+   inputs. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -39,6 +41,11 @@ static const double E[7] = {71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
                             -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0};
 static const double C[7] = {0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0,
                             1.0, 1.0};
+/* Dense output (Hairer's dopri5 contd5): the 4th-order term of the interpolant. */
+static const double D[7] = {-12715105075.0 / 11282082432.0, 0.0,
+                            87487479700.0 / 32700410799.0, -10690763975.0 / 1880347072.0,
+                            701980252875.0 / 199316789632.0, -1453857185.0 / 822651844.0,
+                            69997945.0 / 29380423.0};
 
 typedef struct {
     int geodesic;           /* 0: transport ODE, 1: conformal geodesic flow */
@@ -103,20 +110,45 @@ static int rhs(const Problem *pb, double t, const double *y, double *dy)
     return 0;
 }
 
+/* The state at ts in the accepted step from (t, y) to (t + h, y5), read off
+   the Dormand-Prince dense output into out. */
+static void dense(double ts, double t, double h, const double *y, const double *y5,
+                  double *const *k, Py_ssize_t n, double *out)
+{
+    const double th = (ts - t) / h, th1 = 1.0 - th;
+    double dy, bs, c5;
+    Py_ssize_t i;
+    int s;
+    for (i = 0; i < n; i++) {
+        dy = y5[i] - y[i];
+        bs = h * k[0][i] - dy;
+        c5 = 0.0;
+        for (s = 0; s < 7; s++)
+            if (D[s] != 0.0)
+                c5 += D[s] * k[s][i];
+        c5 = h * c5;
+        out[i] = y[i] + th * (dy + th1 * (bs + th * ((dy - h * k[6][i] - bs) + th1 * c5)));
+    }
+}
+
 /* One adaptive sweep from t0 to t1, integrating the n entries of y in place.
+   stops are nstops times before t1 in sweep order; the state at each is
+   written to the next n entries of rows, and *nrows counts the rows written.
    work holds 10 n doubles.  Adds the accepted error estimates to *err_accum. */
 static int drive(const Problem *pb, double t0, double t1, double *y,
                  Py_ssize_t n, double rtol, double atol, long max_steps,
+                 const double *stops, Py_ssize_t nstops, double *rows, Py_ssize_t *nrows,
                  double *work, double *err_accum, long *nsteps)
 {
     double *k[7], *ytmp = work + 7 * n, *y5 = work + 8 * n, *ev = work + 9 * n;
-    double t, h, span, direction, err, sc, factor, acc, eacc, maxcomp;
+    double t, tn, h, span, direction, err, sc, factor, acc, eacc, maxcomp;
     long steps = 0;
-    Py_ssize_t i;
+    Py_ssize_t i, done = 0;
     int s, j;
     for (s = 0; s < 7; s++)
         k[s] = work + s * n;
     *nsteps = 0;
+    *nrows = 0;
     span = t1 - t0;
     if (span == 0.0)
         return STATUS_OK;
@@ -169,7 +201,12 @@ static int drive(const Problem *pb, double t0, double t1, double *y,
         err = sqrt(err / n);
         steps += 1;
         if (err <= 1.0) {
-            t = t + h;
+            /* a step aimed at t1 ends there; t + (t1 - t) can round an ulp short */
+            tn = h == t1 - t ? t1 : t + h;
+            for (; done < nstops && direction * (tn - stops[done]) > 0; done++)
+                dense(stops[done], t, h, y, y5, k, n, rows + done * n);
+            *nrows = done;
+            t = tn;
             for (i = 0; i < n; i++) {
                 y[i] = y5[i];
                 k[0][i] = k[6][i];  /* FSAL */
@@ -222,7 +259,7 @@ static PyObject *transport_segment(PyObject *self, PyObject *args, PyObject *kwd
     double *work = NULL, *vec;
     long max_steps = 10000000, nsteps = 0;
     int status, m;
-    Py_ssize_t d, n;
+    Py_ssize_t d, n, nrows;
     npy_intp dims[2];
     Problem pb;
     (void)self;
@@ -265,7 +302,7 @@ static PyObject *transport_segment(PyObject *self, PyObject *args, PyObject *kwd
                    .dg = vec + 4 * d, .eg = vec + 5 * d};
     Py_BEGIN_ALLOW_THREADS
     status = drive(&pb, t0, t1, (double *)PyArray_DATA(out), n, rtol, atol, max_steps,
-                   work, &err, &nsteps);
+                   NULL, 0, NULL, &nrows, work, &err, &nsteps);
     Py_END_ALLOW_THREADS
     result = Py_BuildValue("(Odli)", (PyObject *)out, err, nsteps, status);
 done:
@@ -283,11 +320,11 @@ static PyObject *h_geodesic_sample(PyObject *self, PyObject *args, PyObject *kwd
                              "max_steps", "psi_floor", NULL};
     PyObject *x0o, *v0o, *epso, *tgo, *head, *result = NULL;
     PyArrayObject *in[3] = {NULL, NULL, NULL}, *tg = NULL, *out = NULL;
-    double lam, rtol = 1e-10, atol = 1e-10, psi_floor = 1e-12, err = 0.0, seg_err;
+    double lam, rtol = 1e-10, atol = 1e-10, psi_floor = 1e-12, err = 0.0, direction;
     double *work = NULL, *y, *rows, *times;
-    long max_steps = 10000000, steps = 0, seg_steps;
-    int status = STATUS_OK, m;
-    Py_ssize_t d, n, nt, row;
+    long max_steps = 10000000, steps = 0;
+    int status, m;
+    Py_ssize_t d, n, nt, row, nstops, nrows;
     npy_intp dims[2];
     Problem pb;
     (void)self;
@@ -325,23 +362,29 @@ static PyObject *h_geodesic_sample(PyObject *self, PyObject *args, PyObject *kwd
             PyErr_SetString(PyExc_ValueError, "integration times must be finite");
             goto done;
         }
+    direction = times[nt - 1] >= times[0] ? 1.0 : -1.0;
+    for (row = 1; row < nt; row++)
+        if (direction * (times[row] - times[row - 1]) < 0) {
+            PyErr_SetString(PyExc_ValueError, "t_grid must be monotone");
+            goto done;
+        }
+    /* the times before the end are a prefix of the grid, after its start */
+    nstops = 0;
+    while (1 + nstops < nt && direction * (times[nt - 1] - times[1 + nstops]) > 0)
+        nstops++;
     rows = (double *)PyArray_DATA(out);
     memcpy(rows, y, n * sizeof(double));
     pb = (Problem){.geodesic = 1, .d = d, .ncols = 1, .lam = lam, .psi_floor = psi_floor,
                    .eps = y + n};
     Py_BEGIN_ALLOW_THREADS
-    for (row = 1; row < nt; row++) {
-        seg_err = 0.0;
-        status = drive(&pb, times[row - 1], times[row], y, n, rtol, atol, max_steps,
-                       work, &seg_err, &seg_steps);
-        err += seg_err;
-        steps += seg_steps;
-        if (status != STATUS_OK)
-            break;
-        memcpy(rows + row * n, y, n * sizeof(double));
-    }
+    status = drive(&pb, times[0], times[nt - 1], y, n, rtol, atol, max_steps, times + 1,
+                   nstops, rows + n, &nrows, work, &err, &steps);
+    row = 1 + nrows;
+    if (status == STATUS_OK)
+        for (; row < nt; row++)
+            memcpy(rows + row * n, y, n * sizeof(double));
     Py_END_ALLOW_THREADS
-    /* on a non-OK status, the rows reached so far */
+    /* on a non-OK status, the rows passed so far */
     if ((head = PySequence_GetSlice((PyObject *)out, 0, row)))
         result = Py_BuildValue("(Ndli)", head, err, steps, status);
 done:

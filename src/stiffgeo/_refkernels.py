@@ -1,11 +1,13 @@
 """Pure-Python integrator kernels.
 
 Reference implementation of the adaptive Dormand-Prince 5(4) stepping used for
-parallel transport and conformal geodesics, on lists of Python floats.  Every
-sum is taken in the order of the loops in _fastkernels.c (stage sums start at
-0.0 and skip zero tableau entries), so the two backends are bit-identical in
-values, error estimates, steps and status (tests/test_kernels.py).  This module
-is the fallback selected when the extension is unavailable.
+parallel transport and conformal geodesics, on lists of Python floats.  A
+sampled h-geodesic is one sweep over the whole grid, read at the grid times
+through the 4th-order Dormand-Prince dense output.  Every sum is taken in the
+order of the loops in _fastkernels.c (stage sums start at 0.0 and skip zero
+tableau entries), so the two backends are bit-identical in values, error
+estimates, steps and status (tests/test_kernels.py).  This module is the
+fallback selected when the extension is unavailable.
 """
 
 from __future__ import annotations
@@ -38,21 +40,28 @@ B1, B3, B4, B5, B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 E1, E3, E4, E5, E6, E7 = (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200,
                           22 / 525, -1 / 40)
 C2, C3, C4, C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+# Dense output (Hairer's dopri5 contd5): the 4th-order term of the interpolant.
+D1, D3, D4 = -12715105075 / 11282082432, 87487479700 / 32700410799, \
+    -10690763975 / 1880347072
+D5, D6, D7 = 701980252875 / 199316789632, -1453857185 / 822651844, \
+    69997945 / 29380423
 
 
 class _BoundaryHit(Exception):
     """Raised by a right-hand side where |psi| drops below the floor."""
 
 
-def _drive(f, t0, t1, y, rtol, atol, max_steps):
+def _drive(f, t0, t1, y, rtol, atol, max_steps, stops=(), rows=None):
     """One adaptive DP45 sweep of the float list y from t0 to t1, where f(t, y)
-    returns the derivative as a list or raises _BoundaryHit.  Returns
+    returns the derivative as a list or raises _BoundaryHit.  stops are times
+    before t1 in sweep order; the state at each is appended to rows, read off
+    the dense output of the accepted step that passes it.  Returns
     (y, err_accum, steps, status)."""
     span = t1 - t0
     if span == 0.0:
         return y, 0.0, 0, STATUS_OK
     direction, n, t, h = (1.0 if span > 0 else -1.0), len(y), t0, span * 0.01
-    err_accum, steps = 0.0, 0
+    err_accum, steps, i, nstops = 0.0, 0, 0, len(stops)
     try:
         k1 = f(t, y)
         while steps < max_steps:
@@ -83,7 +92,22 @@ def _drive(f, t0, t1, y, rtol, atol, max_steps):
             err = math.sqrt(err / n)
             steps += 1
             if err <= 1.0:
-                t = t + h
+                # a step aimed at t1 ends there; t + (t1 - t) can round an ulp short
+                tn = t1 if h == t1 - t else t + h
+                if i < nstops and direction * (tn - stops[i]) > 0:
+                    cont = []
+                    for a, b, p, r, s, u, w, z in zip(y, y5, k1, k3, k4, k5, k6, k7):
+                        dy = b - a
+                        bs = h * p - dy
+                        cont.append((a, dy, bs, dy - h * z - bs, h * (
+                            0.0 + D1 * p + D3 * r + D4 * s + D5 * u + D6 * w + D7 * z)))
+                    while i < nstops and direction * (tn - stops[i]) > 0:
+                        th = (stops[i] - t) / h
+                        th1 = 1.0 - th
+                        rows.append([a + th * (dy + th1 * (bs + th * (c4 + th1 * c5)))
+                                     for a, dy, bs, c4, c5 in cont])
+                        i += 1
+                t = tn
                 y = y5
                 k1 = k7  # FSAL
                 err_accum += max(map(abs, ev))
@@ -167,13 +191,20 @@ def h_geodesic_sample(x0, v0, lam, eps, t_grid, rtol=1e-10, atol=1e-10,
 
     This is the geodesic flow of the conformal metric g / psi^4.  Returns an
     array of shape (len(t_grid), 2d) with rows (x, x') plus the usual
-    (err, steps, status) triple; integration starts at t_grid[0].
+    (err, steps, status) triple.  One sweep runs from t_grid[0] to
+    t_grid[-1], so t_grid must be monotone; rows at times before the end come
+    from the dense output and rows at the end time are the end state.  On a
+    non-OK status only the rows passed so far come back.
     """
     x0, v0, eps, times = _floats(x0), _floats(v0), _floats(eps), _floats(t_grid)
     d, lam = len(x0), float(lam)
     if not times:
         raise IndexError("t_grid is empty: no start time")
     _check(d, times, psi_floor, v0, eps)
+    t0, t1 = times[0], times[-1]
+    direction = 1.0 if t1 >= t0 else -1.0
+    if any(direction * (b - a) < 0 for a, b in zip(times, times[1:])):
+        raise ValueError("t_grid must be monotone")
 
     def rhs(t, y):
         v = y[d:]
@@ -188,12 +219,9 @@ def h_geodesic_sample(x0, v0, lam, eps, t_grid, rtol=1e-10, atol=1e-10,
         return v + [(8.0 * xu * b - 4.0 * qu * a) / psi for a, b in zip(y, v)]
 
     rows = [x0 + v0]
-    err_accum, steps_total, status = 0.0, 0, STATUS_OK
-    for ta, tb in zip(times, times[1:]):
-        y, err, steps, status = _drive(rhs, ta, tb, rows[-1], rtol, atol, int(max_steps))
-        err_accum += err
-        steps_total += steps
-        if status != STATUS_OK:
-            break
-        rows.append(y)
-    return np.array(rows).reshape(len(rows), 2 * d), err_accum, steps_total, status
+    stops = [ts for ts in times[1:] if direction * (t1 - ts) > 0]
+    y, err, steps, status = _drive(rhs, t0, t1, rows[0], rtol, atol, int(max_steps),
+                                   stops, rows)
+    if status == STATUS_OK:
+        rows += [y] * (len(times) - len(rows))
+    return np.array(rows).reshape(len(rows), 2 * d), err, steps, status

@@ -4,8 +4,10 @@ The compiled extension (_fastkernels, built from the hand-written
 _fastkernels.c when a C compiler is present at install time) is preferred
 when it imported cleanly; the pure-Python scalar reference (_refkernels) is
 the fallback and is always available for cross-checking.  Both accept the
-same inputs and give bit-identical results.  Set STIFFGEO_PURE=1 to force
-the reference backend.
+same inputs and give bit-identical results.  h_geodesic_sample integrates
+its whole grid in one sweep and reads the samples off the Dormand-Prince
+dense output, so its steps do not depend on the number of samples.  Set
+STIFFGEO_PURE=1 to force the reference backend.
 """
 
 from __future__ import annotations

@@ -138,6 +138,8 @@ def h_geodesic(model: CanonicalModel, x0, v0, t_span: Tuple[float, float],
         raise ValueError(f"samples must be at least 2, got {samples}")
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"gauge alpha must be finite and positive, got {alpha}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if not all(map(math.isfinite, t_span)):
         raise ValueError(f"t_span must be finite, got {t_span}")
     if not contains(model, x0):
@@ -149,10 +151,10 @@ def h_geodesic(model: CanonicalModel, x0, v0, t_span: Tuple[float, float],
     if status == kernels.STATUS_BOUNDARY:
         raise DomainError("h-geodesic reached the boundary psi = 0")
     kernels.raise_for_status(status, "h-geodesic")
-    d = model.sig.d
+    d, eps = model.sig.d, model.sig.eps
     pts, vels = out[:, :d], out[:, d:]
-    psi = np.array([model.psi(p) for p in pts])
-    qv = np.array([model.sig.q(v) for v in vels])
+    psi = (pts * pts) @ eps + model.lam
+    qv = (vels * vels) @ eps
     speeds = alpha**2 * qv / psi**4
     ref = max(abs(speeds[0]), 1e-300)
     drift = float(np.abs(speeds - speeds[0]).max() / ref)

@@ -35,6 +35,13 @@ def _finite(name: str, value) -> float:
     return value
 
 
+def _positive_tol(tol) -> float:
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    return tol
+
+
 def _finite_vector(name: str, value) -> np.ndarray:
     value = np.asarray(value, dtype=float)
     if not np.isfinite(value).all():
@@ -235,6 +242,7 @@ def transport_ode(model: CanonicalModel, path: PathSpec,
     The full matrix is produced by transporting a basis; apply(v) gives the
     transported vector.
     """
+    tol = _positive_tol(tol)
     d = model.sig.d
     eps = model.sig.eps
     V = np.eye(d)
@@ -554,6 +562,7 @@ def infinitesimal_holonomy(model: CanonicalModel, x, i: int, j: int) -> np.ndarr
 def holonomy_loop(model: CanonicalModel, loop: PathSpec,
                   tol: float = 1e-10) -> TransportMap:
     """Transport around a closed loop; det of the result must be 1."""
+    tol = _positive_tol(tol)
     if isinstance(loop, (Polyline, Parametric)):
         a, b = loop.start, loop.end
     elif isinstance(loop, Arc):

@@ -332,9 +332,18 @@ def test_exit_code_zero_ray_direction(capsys):
      "--alpha", "-1"],
     ["geodesic", "--model", "S(2,0;1;+)", "--from", "0,0", "--dir", "1,0",
      "--sdot0", "inf"],
+    ["h-geodesic", "--model", "S(2,0;1;+)", "--from", "0.5774,0", "--vel",
+     "0,1.7778", "--t1", "2", "--tol", "0"],
+    ["h-geodesic", "--model", "S(2,0;1;+)", "--from", "0.5774,0", "--vel",
+     "0,1.7778", "--t1", "2", "--tol", "nan"],
+    ["transport", "--model", "S(2,0;-1;-)", "--ray", "1,0", "--t0", "0.1", "--t1",
+     "0.5", "--ode", "--tol", "0"],
+    ["transport", "--model", "S(2,0;-1;-)", "--ray", "1,0", "--t0", "0.1", "--t1",
+     "0.5", "--ode", "--tol", "nan"],
 ], ids=["ray-t0-nan", "arc-theta1-nan", "find-s0-negative-tol", "zero-samples",
         "h-geodesic-t1-inf", "h-geodesic-alpha-zero", "travel-time-alpha-negative",
-        "geodesic-sdot0-inf"])
+        "geodesic-sdot0-inf", "h-geodesic-tol-zero", "h-geodesic-tol-nan",
+        "transport-ode-tol-zero", "transport-ode-tol-nan"])
 def test_exit_code_invalid_numbers(capsys, argv):
     code, out, err = _invoke(capsys, argv)
     assert code == 3 and out == ""

@@ -195,10 +195,13 @@ def _transport_corpus(rng, count):
 
 
 def _h_geodesic_corpus(rng, count):
+    """Random h_geodesic_sample arguments; half the grids hold 20-60 points,
+    so that one step passes many of them."""
     for _ in range(count):
         d = int(rng.integers(2, 4))
         t0 = float(rng.uniform(-1.0, 1.0))
-        grid = np.linspace(t0, t0 + float(rng.uniform(-2.0, 2.0)), int(rng.integers(1, 9)))
+        size = int(rng.integers(1, 9) if rng.random() < 0.5 else rng.integers(20, 61))
+        grid = np.linspace(t0, t0 + float(rng.uniform(-2.0, 2.0)), size)
         yield (0.4 * rng.normal(size=d), rng.normal(size=d),
                float(rng.choice([-1.0, 1.0])), rng.choice([-1.0, 1.0], d), grid,
                10 ** rng.uniform(-12, -6), 10 ** rng.uniform(-12, -6),
@@ -223,10 +226,12 @@ def test_compiled_matches_reference_bitwise_on_seeded_corpus(fastkernels):
                         kernels.STATUS_UNDERFLOW, kernels.STATUS_BOUNDARY}
 
 
-@pytest.mark.parametrize("call", ["t0-nan", "t1-inf", "grid-nan", "floor-zero"])
+@pytest.mark.parametrize("call", ["t0-nan", "t1-inf", "grid-nan", "grid-unsorted",
+                                  "floor-zero"])
 def test_invalid_inputs_are_refused(backend, call):
-    """Non-finite times never start an integration, and a psi floor of 0
-    (which would let psi = 0 reach a division) is refused."""
+    """Non-finite times never start an integration, a grid that is not
+    monotone (one sweep could not pass its times in order) is refused, and so
+    is a psi floor of 0 (which would let psi = 0 reach a division)."""
     line = (kernels.PATH_LINE, [0.1, 0.0], [0.5, 0.0])
     with pytest.raises(ValueError):
         if call == "t0-nan":
@@ -236,9 +241,56 @@ def test_invalid_inputs_are_refused(backend, call):
         elif call == "grid-nan":
             backend.h_geodesic_sample([0.5, 0.0], [0.1, 0.4], 1.0, [1.0, 1.0],
                                       [0.0, 0.5, math.nan, 1.5])
+        elif call == "grid-unsorted":
+            backend.h_geodesic_sample([0.5, 0.0], [0.1, 0.4], 1.0, [1.0, 1.0],
+                                      [0.0, 1.0, 0.5])
         else:
             backend.h_geodesic_sample([1.0, 0.0], [0.0, 1.0], -1.0, [1.0, 1.0],
                                       [0.0, 0.1], psi_floor=0.0)
+
+
+_CIRCLE = ([0.5774, 0.0], [0.0, 1.7778], 1.0, [1.0, 1.0])  # the README h-geodesic
+
+
+def test_zero_span_grid_gives_a_row_per_entry(backend):
+    out, err, steps, status = backend.h_geodesic_sample(*_CIRCLE, [1.0] * 5)
+    assert (err, steps, status) == (0.0, 0, kernels.STATUS_OK)
+    assert out.tolist() == [[0.5774, 0.0, 0.0, 1.7778]] * 5
+
+
+def test_repeated_grid_entries_each_get_a_row(backend):
+    """Repeated times, at the start, inside the span and at the end, each get
+    their own identical row; end rows hold the end state."""
+    grid = [0.0, 0.0, 0.5, 0.5, 0.5, 1.2, 2.0, 2.0]
+    out, err, steps, status = backend.h_geodesic_sample(*_CIRCLE, grid)
+    assert status == kernels.STATUS_OK and out.shape == (8, 4)
+    assert out[0].tolist() == out[1].tolist() == _CIRCLE[0] + _CIRCLE[1]
+    assert out[2].tolist() == out[3].tolist() == out[4].tolist()
+    assert out[6].tolist() == out[7].tolist()
+    end = backend.h_geodesic_sample(*_CIRCLE, [0.0, 2.0])[0][-1]
+    assert out[-1].tolist() == end.tolist()
+
+
+def test_steps_do_not_depend_on_sample_count(backend):
+    """One sweep per trace: the samples are read off the dense output and
+    never shorten a step, in either direction of time."""
+    for span in ((0.0, 2.0), (1.0, -0.5)):
+        runs = [backend.h_geodesic_sample(*_CIRCLE, np.linspace(*span, n))
+                for n in (2, 2001)]
+        assert runs[0][1:] == runs[1][1:]
+        assert runs[0][0][-1].tolist() == runs[1][0][-1].tolist()
+        assert runs[1][0].shape == (2001, 4)
+
+
+def test_sweep_ending_an_ulp_short_is_not_an_underflow(backend):
+    """Here the last step, from t to 0.00328... with h = t1 - t, lands one ulp
+    short of t1 when added to t; the step left would be below the underflow
+    limit.  A step aimed at t1 ends the sweep at t1."""
+    out, err, steps, status = backend.h_geodesic_sample(
+        [0.1592378451252148, 0.3177744045795608],
+        [-0.023392777153805305, -0.17200536212015363], 1.0, [-1.0, -1.0],
+        [0.0, 0.003285632151488894])
+    assert status == kernels.STATUS_OK and out.shape == (2, 4)
 
 
 def test_h_geodesic_cli_output_same_on_both_backends(fastkernels, monkeypatch,

@@ -7,6 +7,7 @@ import pytest
 
 from stiffgeo.errors import DomainError
 from stiffgeo.geodesics import travel_time
+from stiffgeo.kernels import reference
 from stiffgeo.metrics import (
     FLAT,
     ISOCHRONE,
@@ -258,6 +259,50 @@ def test_h_geodesic_off_circle_curves_away():
 def test_h_geodesic_boundary_start_raises():
     with pytest.raises(DomainError):
         h_geodesic(DISK, [1.0 - 5e-14, 0.0], [1.0, 0.0], (0.0, 1.0))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+def test_h_geodesic_tol_must_be_finite_and_positive(tol):
+    with pytest.raises(ValueError):
+        h_geodesic(PLANE, [0.5774, 0.0], [0.0, 1.7778], (0.0, 2.0), tol=tol)
+
+
+def test_h_geodesic_short_trace_from_zero():
+    """A short trace starting at t = 0 once raised a step size underflow: the
+    last step of its first sample interval ended one ulp short of the grid
+    time and the step left was below the underflow limit."""
+    trace = h_geodesic(parse_model("S(0,2;1;+)"),
+                       [-0.19081392041297596, -0.22930995304875376],
+                       [-0.9537065362253458, -1.1461134521569827],
+                       (0.0, 0.11900511979246163), samples=17)
+    assert trace.points.shape == (17, 2)
+    assert trace.speed_drift < 1e-8
+
+
+def test_h_geodesic_dense_samples_match_restarted_integration():
+    """Every sample of a 2001-sample trace of the README circle, read off
+    the dense output, agrees with an integration at tol 1e-13 restarted at
+    each sample time (no interpolation).  Step-end states alone would not
+    catch a wrong interpolant coefficient.  The deviation is 1.6e-10; without
+    the 4th-order term of the interpolant it is 2.6e-9."""
+    x0, v0 = [0.5774, 0.0], [0.0, 1.7778]
+    trace = h_geodesic(PLANE, x0, v0, (0.0, 2.0), samples=2001)
+    eps, lam = PLANE.sig.eps.tolist(), PLANE.lam
+
+    def rhs(t, y):
+        x, v = y[:2], y[2:]
+        psi = lam + sum(e * a * a for e, a in zip(eps, x))
+        xv = sum(e * a * b for e, a, b in zip(eps, x, v))
+        qv = sum(e * b * b for e, b in zip(eps, v))
+        return v + [(8.0 * xv * b - 4.0 * qv * a) / psi for a, b in zip(x, v)]
+
+    y, dev = x0 + v0, 0.0
+    for i, (ta, tb) in enumerate(zip(trace.times, trace.times[1:])):
+        y, _, _, status = reference._drive(rhs, ta, tb, y, 1e-13, 1e-13, 100_000)
+        assert status == reference.STATUS_OK
+        dev = max(dev, np.abs(np.r_[trace.points[i + 1], trace.velocities[i + 1]]
+                              - y).max())
+    assert dev < 1e-9
 
 
 def test_trace_csv_header():

@@ -408,3 +408,13 @@ def test_circle_loop_rejects_mixed_plane():
 def test_holonomy_loop_rejects_open_path():
     with pytest.raises(ValueError):
         holonomy_loop(DISK, Polyline(np.array([[0.0, 0.0], [0.3, 0.0]])))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+def test_tol_must_be_finite_and_positive(tol):
+    """A tol of 0 makes the error scale 0 and ends in a step size underflow;
+    it is refused before integrating."""
+    with pytest.raises(ValueError):
+        transport_ode(DISK, RaySegment(np.array([1.0, 0.0]), 0.1, 0.5), tol=tol)
+    with pytest.raises(ValueError):
+        holonomy_loop(DISK, circle_loop(DISK, 0.4), tol=tol)
