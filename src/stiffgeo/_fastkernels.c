@@ -1,12 +1,13 @@
-/* Compiled Dormand-Prince 5(4) kernels.
+/* Compiled Dormand-Prince 8(5,3) kernels (Hairer's DOP853).
 
-   Same tableau, step control, status codes and contract as _refkernels, whose
-   scalar loops perform the same floating-point operations in the same order,
-   so the two backends agree bit for bit (build with -ffp-contract=off, so
-   that no multiply and add are fused into one FMA, for that to hold on every
-   platform).  A sampled h-geodesic is one sweep over the whole grid, read at
-   the grid times through the 4th-order Dormand-Prince dense output.  Work
-   arrays are sized from the input, so there is no cap on dimensions or
+   Same tableau, error norm, step control, status codes and contract as
+   _refkernels, whose scalar loops perform the same floating-point operations
+   in the same order, so the two backends agree bit for bit (build with
+   -ffp-contract=off, so that no multiply and add are fused into one FMA, for
+   that to hold on every platform).  A sampled h-geodesic is one sweep over
+   the whole grid, read at the grid times through DOP853's 7th-order dense
+   output, whose three extra stages run only on steps that pass a grid time.
+   Work arrays are sized from the input, so there is no cap on dimensions or
    columns.  Integration runs with the GIL released, on private copies of the
    inputs. */
 
@@ -24,28 +25,81 @@
 enum { STATUS_OK, STATUS_MAX_STEPS, STATUS_UNDERFLOW, STATUS_BOUNDARY };
 enum { PATH_LINE, PATH_TRIG, PATH_HYP };
 
-static const double A[7][6] = {
-    {0.0},
-    {1.0 / 5.0},
-    {3.0 / 40.0, 9.0 / 40.0},
-    {44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0},
-    {19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0},
-    {9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
-     -5103.0 / 18656.0},
-    {35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
-     11.0 / 84.0},
+/* Dormand-Prince 8(5,3) (Hairer's dop853), as in _refkernels: A[s] is the
+   input of stage s + 1, with stages 1-12 the step, A[12] = B the 8th-order
+   weights (stage 13, the derivative at the new state, is the next step's
+   stage 1: FSAL), and stages 14-16 the extra stages of the 7th-order dense
+   output (contd8), with D its coefficients.  ER is the 5th-order error
+   estimator and B - BHH the 3rd-order one, BHH on stages 1, 9 and 12. */
+static const double A[16][16] = {
+    [1] = {[0] = 0.05260015195876773},
+    [2] = {[0] = 0.0197250569845379, [1] = 0.0591751709536137},
+    [3] = {[0] = 0.02958758547680685, [2] = 0.08876275643042054},
+    [4] = {[0] = 0.2413651341592667, [2] = -0.8845494793282861, [3] = 0.924834003261792},
+    [5] = {[0] = 0.037037037037037035, [3] = 0.17082860872947386,
+        [4] = 0.12546768756682242},
+    [6] = {[0] = 0.037109375, [3] = 0.17025221101954405, [4] = 0.06021653898045596,
+        [5] = -0.017578125},
+    [7] = {[0] = 0.03709200011850479, [3] = 0.17038392571223998, [4] = 0.10726203044637328,
+        [5] = -0.015319437748624402, [6] = 0.008273789163814023},
+    [8] = {[0] = 0.6241109587160757, [3] = -3.3608926294469414, [4] = -0.868219346841726,
+        [5] = 27.59209969944671, [6] = 20.154067550477894, [7] = -43.48988418106996},
+    [9] = {[0] = 0.47766253643826434, [3] = -2.4881146199716677, [4] = -0.590290826836843,
+        [5] = 21.230051448181193, [6] = 15.279233632882423, [7] = -33.28821096898486,
+        [8] = -0.020331201708508627},
+    [10] = {[0] = -0.9371424300859873, [3] = 5.186372428844064, [4] = 1.0914373489967295,
+        [5] = -8.149787010746927, [6] = -18.52006565999696, [7] = 22.739487099350505,
+        [8] = 2.4936055526796523, [9] = -3.0467644718982196},
+    [11] = {[0] = 2.273310147516538, [3] = -10.53449546673725, [4] = -2.0008720582248625,
+        [5] = -17.9589318631188, [6] = 27.94888452941996, [7] = -2.8589982771350235,
+        [8] = -8.87285693353063, [9] = 12.360567175794303, [10] = 0.6433927460157636},
+    [12] = {[0] = 0.054293734116568765, [5] = 4.450312892752409, [6] = 1.8915178993145003,
+        [7] = -5.801203960010585, [8] = 0.3111643669578199, [9] = -0.1521609496625161,
+        [10] = 0.20136540080403034, [11] = 0.04471061572777259},
+    [13] = {[0] = 0.056167502283047954, [6] = 0.25350021021662483,
+        [7] = -0.2462390374708025, [8] = -0.12419142326381637,
+        [9] = 0.15329179827876568, [10] = 0.00820105229563469,
+        [11] = 0.007567897660545699, [12] = -0.008298},
+    [14] = {[0] = 0.03183464816350214, [5] = 0.028300909672366776,
+        [6] = 0.053541988307438566, [7] = -0.05492374857139099,
+        [10] = -0.00010834732869724932, [11] = 0.0003825710908356584,
+        [12] = -0.00034046500868740456, [13] = 0.1413124436746325},
+    [15] = {[0] = -0.42889630158379194, [5] = -4.697621415361164, [6] = 7.683421196062599,
+        [7] = 4.06898981839711, [8] = 0.3567271874552811,
+        [12] = -0.0013990241651590145, [13] = 2.9475147891527724,
+        [14] = -9.15095847217987},
 };
-static const double B[7] = {35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0,
-                            -2187.0 / 6784.0, 11.0 / 84.0, 0.0};
-static const double E[7] = {71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
-                            -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0};
-static const double C[7] = {0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0,
-                            1.0, 1.0};
-/* Dense output (Hairer's dopri5 contd5): the 4th-order term of the interpolant. */
-static const double D[7] = {-12715105075.0 / 11282082432.0, 0.0,
-                            87487479700.0 / 32700410799.0, -10690763975.0 / 1880347072.0,
-                            701980252875.0 / 199316789632.0, -1453857185.0 / 822651844.0,
-                            69997945.0 / 29380423.0};
+static const double C[16] = {0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+                             0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+                             0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+                             0.7777777777777778};
+static const double ER[12] = {0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+                              -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+                              0.3341791187130175, 0.08192320648511571, -0.022355307863886294};
+static const double BHH1 = 0.2440944881889764, BHH2 = 0.7338466882816118,
+                    BHH3 = 0.022058823529411766;
+static const double D[4][16] = {
+    [0] = {[0] = -8.428938276109013, [5] = 0.5667149535193777, [6] = -3.0689499459498917,
+        [7] = 2.38466765651207, [8] = 2.117034582445028, [9] = -0.871391583777973,
+        [10] = 2.2404374302607883, [11] = 0.6315787787694688,
+        [12] = -0.08899033645133331, [13] = 18.148505520854727,
+        [14] = -9.194632392478356, [15] = -4.436036387594894},
+    [1] = {[0] = 10.427508642579134, [5] = 242.28349177525817, [6] = 165.20045171727028,
+        [7] = -374.5467547226902, [8] = -22.113666853125306, [9] = 7.733432668472264,
+        [10] = -30.674084731089398, [11] = -9.332130526430229,
+        [12] = 15.697238121770845, [13] = -31.139403219565178,
+        [14] = -9.35292435884448, [15] = 35.81684148639408},
+    [2] = {[0] = 19.985053242002433, [5] = -387.0373087493518, [6] = -189.17813819516758,
+        [7] = 527.8081592054236, [8] = -11.57390253995963, [9] = 6.8812326946963,
+        [10] = -1.0006050966910838, [11] = 0.7777137798053443,
+        [12] = -2.778205752353508, [13] = -60.19669523126412,
+        [14] = 84.32040550667716, [15] = 11.99229113618279},
+    [3] = {[0] = -25.69393346270375, [5] = -154.18974869023643, [6] = -231.5293791760455,
+        [7] = 357.6391179106141, [8] = 93.40532418362432, [9] = -37.45832313645163,
+        [10] = 104.0996495089623, [11] = 29.8402934266605, [12] = -43.53345659001114,
+        [13] = 96.32455395918828, [14] = -39.17726167561544,
+        [15] = -149.72683625798564},
+};
 
 typedef struct {
     int geodesic;           /* 0: transport ODE, 1: conformal geodesic flow */
@@ -110,42 +164,43 @@ static int rhs(const Problem *pb, double t, const double *y, double *dy)
     return 0;
 }
 
-/* The state at ts in the accepted step from (t, y) to (t + h, y5), read off
-   the Dormand-Prince dense output into out. */
-static void dense(double ts, double t, double h, const double *y, const double *y5,
-                  double *const *k, Py_ssize_t n, double *out)
+/* Stage s + 1 of the step of size h from (t, y): its input, built from the
+   earlier stages k[0..s-1] into ytmp, and its derivative into k[s].  Returns
+   -1 when |psi| drops below the floor. */
+static int stage(const Problem *pb, int s, double t, double h, const double *y,
+                 double *const *k, Py_ssize_t n, double *ytmp)
 {
-    const double th = (ts - t) / h, th1 = 1.0 - th;
-    double dy, bs, c5;
+    double acc;
     Py_ssize_t i;
-    int s;
+    int j;
     for (i = 0; i < n; i++) {
-        dy = y5[i] - y[i];
-        bs = h * k[0][i] - dy;
-        c5 = 0.0;
-        for (s = 0; s < 7; s++)
-            if (D[s] != 0.0)
-                c5 += D[s] * k[s][i];
-        c5 = h * c5;
-        out[i] = y[i] + th * (dy + th1 * (bs + th * ((dy - h * k[6][i] - bs) + th1 * c5)));
+        acc = 0.0;
+        for (j = 0; j < s; j++)
+            if (A[s][j] != 0.0)
+                acc += A[s][j] * k[j][i];
+        ytmp[i] = y[i] + h * acc;
     }
+    return rhs(pb, t + C[s] * h, ytmp, k[s]);
 }
 
-/* One adaptive sweep from t0 to t1, integrating the n entries of y in place.
-   stops are nstops times before t1 in sweep order; the state at each is
-   written to the next n entries of rows, and *nrows counts the rows written.
-   work holds 10 n doubles.  Adds the accepted error estimates to *err_accum. */
+/* One adaptive DOP853 sweep from t0 to t1, integrating the n entries of y in
+   place (see _refkernels._drive for the error norm, the step control and
+   err_accum).  stops are nstops times before t1 in sweep order; the state at
+   each is written to the next n entries of rows, read off the dense output
+   of the accepted step that passes it, and *nrows counts the rows written.
+   work holds 26 n doubles.  Adds the accepted error estimates to *err_accum. */
 static int drive(const Problem *pb, double t0, double t1, double *y,
                  Py_ssize_t n, double rtol, double atol, long max_steps,
                  const double *stops, Py_ssize_t nstops, double *rows, Py_ssize_t *nrows,
                  double *work, double *err_accum, long *nsteps)
 {
-    double *k[7], *ytmp = work + 7 * n, *y5 = work + 8 * n, *ev = work + 9 * n;
-    double t, tn, h, span, direction, err, sc, factor, acc, eacc, maxcomp;
+    double *k[16], *ytmp = work + 16 * n, *y8 = work + 17 * n, *cont = work + 18 * n, *swap;
+    double t, tn, h, span, direction, err, err5, err3, deno, big, sc, factor, acc, e5, e3;
+    double th, th1, *out;
     long steps = 0;
     Py_ssize_t i, done = 0;
-    int s, j;
-    for (s = 0; s < 7; s++)
+    int s, r, rejected = 0, status = STATUS_MAX_STEPS;
+    for (s = 0; s < 16; s++)
         k[s] = work + s * n;
     *nsteps = 0;
     *nrows = 0;
@@ -161,71 +216,99 @@ static int drive(const Problem *pb, double t0, double t1, double *y,
         if (direction * (t + h - t1) > 0)
             h = t1 - t;
         if (fabs(h) < 1e-14 * fabs(span)) {
-            *nsteps = steps;
-            return STATUS_UNDERFLOW;
+            status = STATUS_UNDERFLOW;
+            break;
         }
-        for (s = 1; s < 7; s++) {
-            for (i = 0; i < n; i++) {
-                acc = 0.0;
-                for (j = 0; j < s; j++)
-                    if (A[s][j] != 0.0)
-                        acc += A[s][j] * k[j][i];
-                ytmp[i] = y[i] + h * acc;
-            }
-            if (rhs(pb, t + C[s] * h, ytmp, k[s]) != 0) {
-                *nsteps = steps;
-                return STATUS_BOUNDARY;
-            }
-        }
-        err = 0.0;
-        maxcomp = 0.0;
+        for (s = 1; s < 12; s++)
+            if (stage(pb, s, t, h, y, k, n, ytmp) != 0)
+                goto boundary;
+        err5 = 0.0;
+        err3 = 0.0;
+        big = 0.0;
         for (i = 0; i < n; i++) {
             acc = 0.0;
-            eacc = 0.0;
-            for (s = 0; s < 7; s++) {
-                if (B[s] != 0.0)
-                    acc += B[s] * k[s][i];
-                if (E[s] != 0.0)
-                    eacc += E[s] * k[s][i];
+            e5 = 0.0;
+            for (s = 0; s < 12; s++) {
+                if (A[12][s] != 0.0)
+                    acc += A[12][s] * k[s][i];
+                if (ER[s] != 0.0)
+                    e5 += ER[s] * k[s][i];
             }
-            y5[i] = y[i] + h * acc;
-            ev[i] = h * eacc;
-        }
-        for (i = 0; i < n; i++) {
-            sc = fabs(y[i]) > fabs(y5[i]) ? fabs(y[i]) : fabs(y5[i]);
+            y8[i] = y[i] + h * acc;
+            e3 = acc - BHH1 * k[0][i] - BHH2 * k[8][i] - BHH3 * k[11][i];
+            sc = fabs(y[i]) > fabs(y8[i]) ? fabs(y[i]) : fabs(y8[i]);
             sc = atol + rtol * sc;
-            err += (ev[i] / sc) * (ev[i] / sc);
-            if (fabs(ev[i]) > maxcomp)
-                maxcomp = fabs(ev[i]);
+            err5 += (e5 / sc) * (e5 / sc);
+            err3 += (e3 / sc) * (e3 / sc);
+            if (fabs(e5) > big)
+                big = fabs(e5);
         }
-        err = sqrt(err / n);
+        deno = err5 + 0.01 * err3;
+        if (deno <= 0.0)
+            deno = 1.0;
+        err = fabs(h) * err5 / sqrt(n * deno);
         steps += 1;
+        factor = 0.9 * pow(err + 1e-300, -0.125);
+        if (!(factor > 0.333))  /* a NaN error shrinks the step, as in _refkernels */
+            factor = 0.333;
+        if (factor > 6.0)
+            factor = 6.0;
         if (err <= 1.0) {
             /* a step aimed at t1 ends there; t + (t1 - t) can round an ulp short */
             tn = h == t1 - t ? t1 : t + h;
-            for (; done < nstops && direction * (tn - stops[done]) > 0; done++)
-                dense(stops[done], t, h, y, y5, k, n, rows + done * n);
-            *nrows = done;
+            if (rhs(pb, tn, y8, k[12]) != 0)
+                goto boundary;
+            if (done < nstops && direction * (tn - stops[done]) > 0) {
+                for (s = 13; s < 16; s++)
+                    if (stage(pb, s, t, h, y, k, n, ytmp) != 0)
+                        goto boundary;
+                for (i = 0; i < n; i++) {
+                    cont[i] = y[i];
+                    cont[n + i] = y8[i] - y[i];
+                    cont[2 * n + i] = h * k[0][i] - cont[n + i];
+                    cont[3 * n + i] = cont[n + i] - h * k[12][i] - cont[2 * n + i];
+                    for (r = 0; r < 4; r++) {
+                        acc = 0.0;
+                        for (s = 0; s < 16; s++)
+                            if (D[r][s] != 0.0)
+                                acc += D[r][s] * k[s][i];
+                        cont[(4 + r) * n + i] = h * acc;
+                    }
+                }
+                for (; done < nstops && direction * (tn - stops[done]) > 0; done++) {
+                    th = (stops[done] - t) / h;
+                    th1 = 1.0 - th;
+                    out = rows + done * n;
+                    for (i = 0; i < n; i++)
+                        out[i] = cont[i] + th * (cont[n + i] + th1 * (cont[2 * n + i] + th * (
+                            cont[3 * n + i] + th1 * (cont[4 * n + i] + th * (
+                                cont[5 * n + i] + th1 * (cont[6 * n + i] + th * cont[7 * n + i]))))));
+                }
+                *nrows = done;
+            }
             t = tn;
-            for (i = 0; i < n; i++) {
-                y[i] = y5[i];
-                k[0][i] = k[6][i];  /* FSAL */
-            }
-            *err_accum += maxcomp;
+            memcpy(y, y8, n * sizeof(double));
+            swap = k[0];  /* FSAL */
+            k[0] = k[12];
+            k[12] = swap;
+            *err_accum += fabs(h) * big * sqrt(err5 / deno);
             if (direction * (t - t1) >= 0) {
-                *nsteps = steps;
-                return STATUS_OK;
+                status = STATUS_OK;
+                break;
             }
+            if (rejected && factor > 1.0)
+                factor = 1.0;
+            rejected = 0;
+        } else {
+            rejected = 1;
         }
-        factor = 0.9 * pow(err + 1e-300, -0.2);
-        if (!(factor > 0.2))  /* a NaN error shrinks the step, as in _refkernels */
-            factor = 0.2;
-        if (factor > 5.0)
-            factor = 5.0;
         h = h * factor;
     }
     *nsteps = steps;
-    return STATUS_MAX_STEPS;
+    return status;
+boundary:
+    *nsteps = steps;
+    return STATUS_BOUNDARY;
 }
 
 /* 1-D float64 C-contiguous view or copy of obj; NULL with an exception set. */
@@ -288,12 +371,12 @@ static PyObject *transport_segment(PyObject *self, PyObject *args, PyObject *kwd
     dims[0] = PyArray_NDIM(V0) == 1 ? n : d;
     dims[1] = n / d;
     out = (PyArrayObject *)PyArray_SimpleNew(PyArray_NDIM(V0) == 1 ? 1 : 2, dims, NPY_DOUBLE);
-    if (!out || !(work = malloc((10 * n + 6 * d) * sizeof(double)))) {
+    if (!out || !(work = malloc((26 * n + 6 * d) * sizeof(double)))) {
         PyErr_NoMemory();
         goto done;
     }
-    /* work: DP45 stages | c0 c1 eps | g dg eg */
-    vec = work + 10 * n;
+    /* work: DOP853 stages and scratch | c0 c1 eps | g dg eg */
+    vec = work + 26 * n;
     if (copy_vectors(vec, d, in, 3) < 0)
         goto done;
     memcpy(PyArray_DATA(out), PyArray_DATA(V0), n * sizeof(double));
@@ -347,12 +430,12 @@ static PyObject *h_geodesic_sample(PyObject *self, PyObject *args, PyObject *kwd
     dims[0] = nt;
     dims[1] = n;
     out = (PyArrayObject *)PyArray_SimpleNew(2, dims, NPY_DOUBLE);
-    if (!out || !(work = malloc((10 * n + 3 * d + nt) * sizeof(double)))) {
+    if (!out || !(work = malloc((26 * n + 3 * d + nt) * sizeof(double)))) {
         PyErr_NoMemory();
         goto done;
     }
-    /* work: DP45 stages | x0 v0 (the state y) | eps | t_grid */
-    y = work + 10 * n;
+    /* work: DOP853 stages and scratch | x0 v0 (the state y) | eps | t_grid */
+    y = work + 26 * n;
     if (copy_vectors(y, d, in, 3) < 0)
         goto done;
     times = y + 3 * d;
@@ -406,7 +489,7 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_fastkernels",
-    "Compiled Dormand-Prince 5(4) kernels; see _refkernels for the contract.",
+    "Compiled Dormand-Prince 8(5,3) kernels; see _refkernels for the contract.",
     -1, methods, NULL, NULL, NULL, NULL,
 };
 

@@ -131,7 +131,9 @@ def h_geodesic_acceleration(model: CanonicalModel, x, v) -> np.ndarray:
 def h_geodesic(model: CanonicalModel, x0, v0, t_span: Tuple[float, float],
                tol: float = 1e-10, samples: int = 201,
                alpha: float = 1.0) -> GeodesicTrace:
-    """Integrate the h-geodesic from (x0, v0) over t_span, sampling the trace."""
+    """Integrate the h-geodesic from (x0, v0) over t_span, sampling the trace
+    at samples equally spaced times; the kernel runs at rtol = atol = tol *
+    kernels.TOL_SCALE."""
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     if samples < 2:
@@ -145,8 +147,9 @@ def h_geodesic(model: CanonicalModel, x0, v0, t_span: Tuple[float, float],
     if not contains(model, x0):
         raise DomainError(f"start {x0} outside model {model}")
     grid = np.linspace(t_span[0], t_span[1], samples)
+    rtol = tol * kernels.TOL_SCALE
     out, err, _, status = kernels.h_geodesic_sample(
-        x0, v0, model.lam, model.sig.eps, grid, rtol=tol, atol=tol
+        x0, v0, model.lam, model.sig.eps, grid, rtol=rtol, atol=rtol
     )
     if status == kernels.STATUS_BOUNDARY:
         raise DomainError("h-geodesic reached the boundary psi = 0")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .pseudospace import complete_orthonormal, inf_rotation_J
 
 # refuse paths that come closer to the boundary than this; Gamma ~ 1/psi
 REFUSE_PSI = 1e-9
-_GUARD_SAMPLES = 257
 
 
 # ---------------------------------------------------------------------------
@@ -68,37 +67,6 @@ class Polyline:
     @property
     def end(self) -> np.ndarray:
         return self.points[-1]
-
-
-@dataclass(frozen=True)
-class Parametric:
-    """Path given by a callable t -> point on [t0, t1].
-
-    The derivative is taken by central differences unless dfn is supplied;
-    samples controls the in-domain guard density.
-    """
-
-    fn: Callable[[float], np.ndarray]
-    t0: float
-    t1: float
-    dfn: Optional[Callable[[float], np.ndarray]] = None
-    samples: int = _GUARD_SAMPLES
-
-    @property
-    def start(self) -> np.ndarray:
-        return np.asarray(self.fn(self.t0), dtype=float)
-
-    @property
-    def end(self) -> np.ndarray:
-        return np.asarray(self.fn(self.t1), dtype=float)
-
-    def velocity(self, t: float) -> np.ndarray:
-        if self.dfn is not None:
-            return np.asarray(self.dfn(t), dtype=float)
-        h = 1e-7 * max(1.0, abs(t))
-        fp = np.asarray(self.fn(t + h), dtype=float)
-        fm = np.asarray(self.fn(t - h), dtype=float)
-        return (fp - fm) / (2 * h)
 
 
 @dataclass(frozen=True)
@@ -150,7 +118,7 @@ class Arc:
         object.__setattr__(self, "theta1", _finite("theta1", theta1))
 
 
-PathSpec = Union[Polyline, Parametric, RaySegment, Arc]
+PathSpec = Union[Polyline, RaySegment, Arc]
 
 
 # ---------------------------------------------------------------------------
@@ -240,22 +208,27 @@ def transport_ode(model: CanonicalModel, path: PathSpec,
     """Parallel transport along path by integrating the transport ODE.
 
     The full matrix is produced by transporting a basis; apply(v) gives the
-    transported vector.
+    transported vector.  The kernel runs at rtol = atol = tol *
+    kernels.TOL_SCALE.
     """
     tol = _positive_tol(tol)
     d = model.sig.d
     eps = model.sig.eps
+    rtol = tol * kernels.TOL_SCALE
     V = np.eye(d)
     err_total = 0.0
 
     if isinstance(path, Polyline):
-        for a, b in zip(path.points[:-1], path.points[1:]):
+        legs = list(zip(path.points[:-1], path.points[1:]))
+        # refuse before integrating: a bad last leg must not cost the others
+        for a, b in legs:
             _guard(model, segment_margin(model, a, b), "segment")
+        for a, b in legs:
             V, err, _ = _refine(
                 model,
                 kernels.transport_segment(
                     kernels.PATH_LINE, a, b - a, 0.0, 1.0, model.lam, eps, V,
-                    rtol=tol, atol=tol,
+                    rtol=rtol, atol=rtol,
                 ),
                 "polyline transport",
             )
@@ -267,7 +240,7 @@ def transport_ode(model: CanonicalModel, path: PathSpec,
             model,
             kernels.transport_segment(
                 kernels.PATH_LINE, np.zeros(d), path.e_r, path.t0, path.t1,
-                model.lam, eps, V, rtol=tol, atol=tol,
+                model.lam, eps, V, rtol=rtol, atol=rtol,
             ),
             "ray transport",
         )
@@ -278,36 +251,11 @@ def transport_ode(model: CanonicalModel, path: PathSpec,
             model,
             kernels.transport_segment(
                 data["kind"], data["c0"], data["c1"], path.theta0, path.theta1,
-                model.lam, eps, V, rtol=tol, atol=tol,
+                model.lam, eps, V, rtol=rtol, atol=rtol,
             ),
             "arc transport",
         )
         start, end = data["start"], data["end"]
-    elif isinstance(path, Parametric):
-        ts = np.linspace(path.t0, path.t1, path.samples)
-        pts = np.array([np.asarray(path.fn(t), dtype=float) for t in ts])
-        # user callables have no closed-form psi: guard on the samples
-        psi = (pts * pts * eps).sum(axis=1) + model.lam
-        _guard(model, float(np.min(model.nu * psi)), "parametric path")
-        if not all(contains(model, x) for x in pts):
-            raise DomainError(f"parametric path leaves the {model.branch} "
-                              f"branch of {model}")
-
-        def rhs(t, y):
-            g = np.asarray(path.fn(t), dtype=float)
-            dg = path.velocity(t)
-            psi = model.lam + float((eps * g) @ g)
-            if abs(psi) < 1e-12:
-                raise kernels.reference._BoundaryHit()
-            W = y.reshape(d, d)
-            pg = float((eps * g) @ dg)
-            return ((2.0 / psi) * (pg * W + np.outer(dg, (eps * g) @ W))).ravel()
-
-        y, err_total, _ = kernels.integrate_adaptive(
-            rhs, path.t0, path.t1, V.ravel(), rtol=tol, atol=tol
-        )
-        V = y.reshape(d, d)
-        start, end = path.start, path.end
     else:
         raise TypeError(f"unsupported path specification: {type(path).__name__}")
 
@@ -563,13 +511,13 @@ def holonomy_loop(model: CanonicalModel, loop: PathSpec,
                   tol: float = 1e-10) -> TransportMap:
     """Transport around a closed loop; det of the result must be 1."""
     tol = _positive_tol(tol)
-    if isinstance(loop, (Polyline, Parametric)):
+    if isinstance(loop, Polyline):
         a, b = loop.start, loop.end
     elif isinstance(loop, Arc):
         data = _arc_data(model, loop)
         a, b = data["start"], data["end"]
     else:
-        raise TypeError("holonomy needs a closable path (polyline, parametric, arc)")
+        raise TypeError("holonomy needs a closable path (polyline or arc)")
     if not np.allclose(a, b, atol=1e-9 * max(1.0, float(np.abs(a).max()))):
         raise ValueError("loop is not closed")
     tm = transport_ode(model, loop, tol=tol)

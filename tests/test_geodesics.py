@@ -328,6 +328,27 @@ def test_travel_time_symmetry_and_alpha_scaling():
         2.5 * t1, rel=1e-12)
 
 
+# chords that start near the boundary, with psi(b)^2 / psi(a)^2 of 4e4 - 8e4,
+# and their h-lengths alpha sqrt|q(b - a)| int_0^1 ds / psi^2 (alpha = 1) by
+# mpmath.quad at 60 digits over 32 equal pieces of [0, 1]
+BOUNDARY_CHORDS = [
+    ("S(1,1;0;-;R)", (-2.331535516886514, 2.344840722856657),
+     (-1.1931937401289623, 4.406542412827973), 1.8256532130892100034),
+    ("S(1,1;-1;+)", (1.8462766847042786, 1.5354325823098707),
+     (3.436508855400013, -0.3709222896281359), 1.7499641793059004414),
+    ("S(1,1;0;-)", (-2.4151959917263888, 2.427659319096323),
+     (-0.4755357161905469, 3.972589453377232), 1.1505248334983580191),
+]
+
+
+@pytest.mark.parametrize("tag,a,b,want", BOUNDARY_CHORDS,
+                         ids=[c[0] for c in BOUNDARY_CHORDS])
+def test_travel_time_near_the_boundary_matches_mpmath(tag, a, b, want):
+    """travel_time is exact on these chords, where a 512-node Gauss-Legendre
+    rule is off by 2e-9 - 2e-8: a sampled chord that misses its end point
+    there shows a fault of the quadrature it is checked against."""
+    assert travel_time(parse_model(tag), a, b).time == pytest.approx(want, rel=1e-12)
+
 def test_travel_time_null_chord():
     model = parse_model("S(1,1;1;+)")
     t = travel_time(model, [0.0, 0.0], [0.5, 0.5])

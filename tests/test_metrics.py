@@ -250,6 +250,17 @@ def test_h_geodesic_circle():
     assert trace.speed_drift < 1e-8
 
 
+
+def test_h_geodesic_readme_circle_accuracy_is_pinned():
+    """The end state (point and velocity) of the README h-geodesic at the
+    default tol is within 1.7e-10 of a tol = 1e-14 run, the Dormand-Prince
+    5(4) kernels' 1.66e-10 rounded up."""
+    x0, v0 = [0.5774, 0.0], [0.0, 1.7778]
+    got, ref = (h_geodesic(PLANE, x0, v0, (0.0, 2.0), tol=tol) for tol in (1e-10, 1e-14))
+    dev = np.abs(np.r_[got.points[-1], got.velocities[-1]]
+                 - np.r_[ref.points[-1], ref.velocities[-1]]).max()
+    assert dev <= 1.7e-10
+
 def test_h_geodesic_off_circle_curves_away():
     trace = h_geodesic(PLANE, [0.9, 0.0], [0.0, 0.8], (0.0, 6.0), samples=121)
     radii = np.hypot(trace.points[:, 0], trace.points[:, 1])
@@ -283,8 +294,8 @@ def test_h_geodesic_dense_samples_match_restarted_integration():
     """Every sample of a 2001-sample trace of the README circle, read off
     the dense output, agrees with an integration at tol 1e-13 restarted at
     each sample time (no interpolation).  Step-end states alone would not
-    catch a wrong interpolant coefficient.  The deviation is 1.6e-10; without
-    the 4th-order term of the interpolant it is 2.6e-9."""
+    catch a wrong interpolant coefficient.  The deviation is 6.3e-12; without
+    the two highest terms of the DOP853 interpolant (D6, D7) it is 3.3e-10."""
     x0, v0 = [0.5774, 0.0], [0.0, 1.7778]
     trace = h_geodesic(PLANE, x0, v0, (0.0, 2.0), samples=2001)
     eps, lam = PLANE.sig.eps.tolist(), PLANE.lam
@@ -302,7 +313,7 @@ def test_h_geodesic_dense_samples_match_restarted_integration():
         assert status == reference.STATUS_OK
         dev = max(dev, np.abs(np.r_[trace.points[i + 1], trace.velocities[i + 1]]
                               - y).max())
-    assert dev < 1e-9
+    assert dev < 1e-10
 
 
 def test_trace_csv_header():
