@@ -363,8 +363,9 @@ static PyObject *transport_segment(PyObject *self, PyObject *args, PyObject *kwd
         goto done;
     d = PyArray_DIM(in[0], 0);
     n = PyArray_SIZE(V0);
-    if (d == 0 || n % d != 0) {
-        PyErr_Format(PyExc_ValueError, "V0 of size %zd does not split into %zd rows", n, d);
+    if (d == 0 || n == 0 || n % d != 0) {  /* an empty state is refused, as in _refkernels */
+        PyErr_Format(PyExc_ValueError, "V0 of size %zd does not split into %zd nonempty rows",
+                     n, d);
         goto done;
     }
     /* a 1-D V0 comes back 1-D, anything else as d x ncols */
@@ -425,6 +426,10 @@ static PyObject *h_geodesic_sample(PyObject *self, PyObject *args, PyObject *kwd
     nt = PyArray_DIM(tg, 0);
     if (nt == 0) {
         PyErr_SetString(PyExc_IndexError, "t_grid is empty: no start time");
+        goto done;
+    }
+    if (d == 0) {
+        PyErr_SetString(PyExc_ValueError, "empty state: the vectors have no entries");
         goto done;
     }
     dims[0] = nt;

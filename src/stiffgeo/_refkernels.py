@@ -6,8 +6,12 @@ lists of Python floats.  A sampled h-geodesic is one sweep over the whole
 grid, read at the grid times through DOP853's 7th-order dense output.  Every
 sum is taken in the order of the loops in _fastkernels.c (stage sums start at
 0.0 and skip zero tableau entries), so the two backends are bit-identical in
-values, error estimates, steps and status (tests/test_kernels.py).  This
-module is the fallback selected when the extension is unavailable.
+values, error estimates, steps and status (tests/test_kernels.py).  Sums are
+loops of `+=` or chains of `+`, rounded after every addition as in C, and
+never builtin sum(), math.fsum or math.sumprod: since Python 3.12 sum() of
+floats is compensated (Neumaier), and fsum and sumprod round differently
+too, so any of them would break the parity.  This module is the fallback
+selected when the extension is unavailable.
 """
 
 from __future__ import annotations
@@ -247,8 +251,12 @@ def _floats(v):
 
 
 def _check(d, ts, psi_floor, *vs):
-    """ValueError on a non-finite time, a psi floor that is not positive (psi
-    = 0 would then be divided by) or a vector whose length is not d."""
+    """ValueError on an empty state (d = 0: nothing to integrate, and the
+    error norm would divide by 0), a non-finite time, a psi floor that is not
+    positive (psi = 0 would then be divided by) or a vector whose length is
+    not d."""
+    if not d:
+        raise ValueError("empty state: the vectors have no entries")
     if not all(map(math.isfinite, ts)):
         raise ValueError(f"integration times must be finite, got {ts}")
     if not psi_floor > 0:
@@ -271,36 +279,48 @@ def transport_segment(kind, c0, c1, t0, t1, lam, eps, V0, rtol=1e-10, atol=1e-10
     d = len(c0)
     _check(d, (t0, t1), psi_floor, c1, eps)
     V0 = np.asarray(V0, dtype=float)
-    if d == 0 or V0.size % d:
-        raise ValueError(f"V0 of size {V0.size} does not split into {d} rows")
+    if not V0.size or V0.size % d:
+        raise ValueError(f"V0 of size {V0.size} does not split into {d} nonempty rows")
     nc, line, trig = V0.size // d, kind == PATH_LINE, kind == PATH_TRIG
+    # built once per segment, not per RHS call: the (eps, c0, c1) triples, the
+    # (row, column) of each state entry (row-major, as the C kernel stores V)
+    # and, on lines, the constant g' = c1 repeated along each row
+    path = list(zip(eps, c0, c1))
+    cells = [(i, j) for i in range(d) for j in range(nc)]
+    dg_line = [b for b in c1 for _ in range(nc)]
 
     def rhs(t, y):
-        psi, pg, eg, dg = lam, 0.0, [], []
-        if not line:
+        psi, pg, eg = lam, 0.0, []
+        if line:
+            for e, a, b in path:
+                x = a + t * b
+                ex = e * x
+                psi += ex * x
+                pg += ex * b
+                eg.append(ex)
+            dg = dg_line
+        else:
             try:
                 ct, st = (math.cos(t), math.sin(t)) if trig else (math.cosh(t), math.sinh(t))
             except OverflowError:  # past the float range: inf, as in C
                 ct, st = math.inf, math.copysign(math.inf, t)
             sg = -st if trig else st
-        for e, a, b in zip(eps, c0, c1):
-            x, v = (a + t * b, b) if line else (ct * a + st * b, sg * a + ct * b)
-            ex = e * x
-            eg.append(ex)
-            dg.append(v)
-            psi += ex * x
-            pg += ex * v
+            dg = []
+            for e, a, b in path:
+                x, v = ct * a + st * b, sg * a + ct * b
+                ex = e * x
+                psi += ex * x
+                pg += ex * v
+                eg.append(ex)
+                dg += [v] * nc
         if abs(psi) < psi_floor:
             raise _BoundaryHit
         coef = 2.0 / psi
-        rows = list(zip(*[iter(y)] * nc))
-        gv = []
-        for col in zip(*rows):
-            s = 0.0
-            for a, v in zip(eg, col):
-                s += a * v
-            gv.append(s)
-        return [coef * (pg * v + b * w) for row, b in zip(rows, dg) for v, w in zip(row, gv)]
+        # gv_j adds eg_i V_ij over i from 0.0, in the C order for each j
+        gv = [0.0] * nc
+        for (i, j), v in zip(cells, y):
+            gv[j] += eg[i] * v
+        return [coef * (pg * v + b * w) for v, b, w in zip(y, dg, gv * d)]
 
     V, err, steps, status = _drive(rhs, t0, t1, V0.ravel().tolist(), rtol, atol,
                                    int(max_steps))

@@ -177,12 +177,13 @@ def test_empty_grid_raises_on_both_backends(fastkernels):
 
 
 def _transport_corpus(rng, count):
-    """Random transport_segment arguments over every path kind, d 2-4, 1-3
-    columns, and random tolerances, psi floors and step budgets, so that
-    every status code turns up."""
+    """Random transport_segment arguments over every path kind, d 1-6, 1 to
+    d + 1 columns, and random tolerances, psi floors and step budgets, so
+    that every status code turns up."""
     for _ in range(count):
         kind = int(rng.integers(3))
-        d, ncols = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        d = int(rng.integers(1, 7))
+        ncols = int(rng.integers(1, d + 2))
         t0 = float(rng.uniform(-1.0, 1.0))
         t1 = t0 + float(rng.uniform(-1.5, 1.5) if kind != kernels.PATH_TRIG
                         else rng.uniform(-3.0, 3.0))
@@ -227,11 +228,12 @@ def test_compiled_matches_reference_bitwise_on_seeded_corpus(fastkernels):
 
 
 @pytest.mark.parametrize("call", ["t0-nan", "t1-inf", "grid-nan", "grid-unsorted",
-                                  "floor-zero"])
+                                  "floor-zero", "empty-V0", "empty-state"])
 def test_invalid_inputs_are_refused(backend, call):
     """Non-finite times never start an integration, a grid that is not
     monotone (one sweep could not pass its times in order) is refused, and so
-    is a psi floor of 0 (which would let psi = 0 reach a division)."""
+    is a psi floor of 0 (which would let psi = 0 reach a division) and an
+    empty state (no columns to transport, or no coordinates at all)."""
     line = (kernels.PATH_LINE, [0.1, 0.0], [0.5, 0.0])
     with pytest.raises(ValueError):
         if call == "t0-nan":
@@ -244,6 +246,14 @@ def test_invalid_inputs_are_refused(backend, call):
         elif call == "grid-unsorted":
             backend.h_geodesic_sample([0.5, 0.0], [0.1, 0.4], 1.0, [1.0, 1.0],
                                       [0.0, 1.0, 0.5])
+        elif call == "empty-V0":
+            with pytest.raises(ValueError):
+                backend.transport_segment(*line, 0.0, 1.0, -1.0, [1.0, 1.0], np.zeros((2, 0)))
+            backend.transport_segment(*line, 0.0, 1.0, -1.0, [1.0, 1.0], np.zeros(0))
+        elif call == "empty-state":
+            with pytest.raises(ValueError):
+                backend.transport_segment(kernels.PATH_LINE, [], [], 0.0, 1.0, -1.0, [], [])
+            backend.h_geodesic_sample([], [], 1.0, [], [0.0, 1.0])
         else:
             backend.h_geodesic_sample([1.0, 0.0], [0.0, 1.0], -1.0, [1.0, 1.0],
                                       [0.0, 0.1], psi_floor=0.0)
