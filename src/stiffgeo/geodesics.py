@@ -1,33 +1,31 @@
 """Geodesics of canonical models along straight lines.
 
-A line x0 + s*e meets the potential in a quadratic psi_s(s); reducing that
-quadratic to one of five normal forms (constant, y, y^2-1, y^2, y^2+1) turns
-the geodesic equation into F(y(t)) = alpha*t + beta for an explicit
-antiderivative F.  This module performs the reduction, inverts F, computes
-maximal existence intervals, completeness verdicts, isochrone travel times
-and the triangle-inequality experiment.
+Geodesics run along lines x0 + s e at constant speed in the isochrone metric
+h = g / psi^4, where psi(s) = A s^2 + B s + C (models.chord_quadratic): so
+s(t) inverts J0(s0, s) = int ds / psi^2 = rate (t - t0), which psi_integral
+gives in closed form.  This module solves for s(t), maximal existence
+intervals, completeness verdicts, travel times alpha sqrt|A| J0(0, 1) and the
+triangle-inequality experiment.  reduce_line names the normal form of psi
+(constant, y, y^2-1, y^2, y^2+1) that the CLI reports; no solve reads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import DomainError
-from .models import (CanonicalModel, contains, interior_point, parse_model,
-                     segment_margin)
+from .models import (CanonicalModel, chord_quadratic, contains, interior_point,
+                     parse_model)
 
 C1_CONSTANT = "C1_Constant"
 C2_SINGLE_POLE = "C2_SinglePole"
 C3_TWO_POLES = "C3_TwoPoles"
 C4_DOUBLE_POLE = "C4_DoublePole"
 C5_NO_POLE = "C5_NoPole"
-
-_DISC_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class GeodesicLine:
@@ -50,9 +48,7 @@ class GeodesicLine:
 
     def psi_coeffs(self) -> Tuple[float, float, float]:
         """psi_s(s) = A s^2 + B s + C along the line."""
-        sig = self.model.sig
-        return (sig.q(self.e), 2.0 * sig.dot(self.x0, self.e),
-                self.model.psi(self.x0))
+        return chord_quadratic(self.model, self.x0, self.e)
 
     def point(self, s: float) -> np.ndarray:
         return self.x0 + s * self.e
@@ -73,9 +69,6 @@ class GeodesicCase:
 
     def to_y(self, s: float) -> float:
         return self.alpha_r * s + self.beta_r
-
-    def from_y(self, y: float) -> float:
-        return (y - self.beta_r) / self.alpha_r
 
     def normal_poly(self, y: float) -> float:
         if self.case == C1_CONSTANT:
@@ -107,7 +100,7 @@ def reduce_line(line: GeodesicLine) -> GeodesicCase:
     disc = B * B - 4.0 * A * C
     disc_scale = max(B * B, abs(4.0 * A * C))
     s_mid = -B / (2.0 * A)
-    if abs(disc) <= _DISC_TOL * disc_scale:
+    if abs(disc) <= 1e-12 * disc_scale:
         return GeodesicCase(C4_DOUBLE_POLE, 1.0, -s_mid, A, flipped,
                             lambda_prime=0)
     rho = math.sqrt(abs(disc)) / (2.0 * A)
@@ -122,7 +115,7 @@ def reduce_line(line: GeodesicLine) -> GeodesicCase:
 
 
 # ---------------------------------------------------------------------------
-# the antiderivatives F and their inversion
+# the normal-form antiderivatives, kept for the parameters the CLI prints
 
 
 def F_eval(lambda_prime: int, y: float) -> float:
@@ -141,121 +134,70 @@ def F_eval(lambda_prime: int, y: float) -> float:
     raise ValueError("lambda_prime must be -1, 0 or 1")
 
 
-def _F_for_case(case: GeodesicCase) -> Tuple[Callable[[float], float],
-                                             Callable[[float], float], int]:
-    """(F, F', divisor k) with F' = k/P(y)^2 for the case's normal form."""
-    if case.case == C1_CONSTANT:
-        return (lambda y: y), (lambda y: 1.0), 1
-    if case.case == C2_SINGLE_POLE:
-        return (lambda y: -1.0 / y), (lambda y: 1.0 / (y * y)), 1
-    lp = case.lambda_prime
-    k = {1: 2, 0: 3, -1: 4}[lp]
-
-    def fp(y: float) -> float:
-        p = case.normal_poly(y)
-        return k / (p * p)
-
-    return (lambda y: F_eval(lp, y)), fp, k
+# ---------------------------------------------------------------------------
+# the chord integral J0 = int ds / psi^2
 
 
-def _component_of(case: GeodesicCase, y0: float) -> Tuple[float, float]:
-    """Open y-interval on which F is defined and contains y0."""
-    if case.case in (C1_CONSTANT, C5_NO_POLE):
-        return (-math.inf, math.inf)
-    if case.case in (C2_SINGLE_POLE, C4_DOUBLE_POLE):
-        if y0 == 0.0:
-            raise DomainError("initial point sits on the boundary psi = 0")
-        return (0.0, math.inf) if y0 > 0 else (-math.inf, 0.0)
-    # C3: poles at -1 and 1
-    if y0 in (-1.0, 1.0):
-        raise DomainError("initial point sits on the boundary psi = 0")
-    if y0 < -1.0:
-        return (-math.inf, -1.0)
-    if y0 < 1.0:
-        return (-1.0, 1.0)
-    return (1.0, math.inf)
+def psi_integral(A: float, B: float, C: float, s0: float, s1: float) -> float:
+    """J0 = int_{s0}^{s1} ds / psi(s)^2 with psi(s) = A s^2 + B s + C.
 
-
-def _F_range(case: GeodesicCase, comp: Tuple[float, float]) -> Tuple[float, float]:
-    """Open range of the strictly increasing F on a component."""
-    if case.case == C1_CONSTANT:
-        return (-math.inf, math.inf)
-    if case.case == C2_SINGLE_POLE:
-        return (-math.inf, 0.0) if comp[0] == 0.0 else (0.0, math.inf)
-    lp = case.lambda_prime
-    if lp == 1:
-        return (-math.pi / 2.0, math.pi / 2.0)
-    if lp == 0:
-        return (-math.inf, 0.0) if comp[0] == 0.0 else (0.0, math.inf)
-    # lambda_prime == -1
-    if comp == (-1.0, 1.0):
-        return (-math.inf, math.inf)
-    return (0.0, math.inf) if comp[1] == -1.0 else (-math.inf, 0.0)
-
-
-def F_invert(case: GeodesicCase, component: Tuple[float, float],
-             value: float) -> float:
-    """Solve F(y) = value on the component; F is strictly increasing there.
-
-    Closed forms where available; otherwise bracketed bisection with a Newton
-    polish to |F(y) - value| <= 1e-12 * max(1, |value|).
+    s0 is finite; s1 may be +-inf (the closed-form limit).  The value is +-inf
+    when [s0, s1] holds a root of psi, where the integral diverges.  With
+    delta = 4AC - B^2 and u = 2As + B, the antiderivative u / (delta psi) +
+    (2A / delta) int ds / psi is taken in difference form, so nothing cancels
+    as s1 -> s0; where |delta| <= 0.1 u^2 on one side of the vertex its two
+    terms would cancel, and the series of 16 A^2 / (u^2 + delta)^2 in delta
+    replaces it.
     """
-    lo_r, hi_r = _F_range(case, component)
-    if not (lo_r < value < hi_r):
-        raise DomainError(f"value {value} outside F range {(lo_r, hi_r)}")
-    if case.case == C1_CONSTANT:
-        return value
-    if case.case == C2_SINGLE_POLE:
-        return -1.0 / value
-    if case.lambda_prime == 0:
-        return -math.copysign(abs(value) ** (-1.0 / 3.0), value)
-
-    F, Fp, _ = _F_for_case(case)
-    lo, hi = _bracket(F, component, value)
-    y = 0.5 * (lo + hi)
-    target = 1e-12 * max(1.0, abs(value))
-    for _ in range(200):
-        fy = F(y)
-        if abs(fy - value) <= target:
-            return y
-        if fy < value:
-            lo = y
-        else:
-            hi = y
-        step = (fy - value) / Fp(y)
-        cand = y - step
-        y = cand if lo < cand < hi else 0.5 * (lo + hi)
-    if abs(F(y) - value) <= 1e-9 * max(1.0, abs(value)):
-        return y
-    raise RuntimeError("F inversion did not converge")
-
-
-def _bracket(F: Callable[[float], float], comp: Tuple[float, float],
-             value: float) -> Tuple[float, float]:
-    """Find [lo, hi] inside the open component with F(lo) < value < F(hi)."""
-    a, b = comp
-    mid = (0.0 if a < 0 < b else
-           (a + 1.0 if math.isinf(b) else b - 1.0 if math.isinf(a)
-            else 0.5 * (a + b)))
-
-    def approach(endpoint: float, want_low: bool) -> float:
-        # walk from mid toward the open endpoint until F passes the value;
-        # stop short of float-resolution collision with a finite pole
-        for k in range(1, 360):
-            if math.isinf(endpoint):
-                y = math.copysign(2.0**k, endpoint)
-            else:
-                y = endpoint + math.copysign(2.0**-k, mid - endpoint)
-                if y == endpoint:
-                    break
-            fy = F(y)
-            if (fy < value) if want_low else (fy > value):
-                return y
-        raise RuntimeError("bracket for F inversion failed (value too extreme)")
-
-    lo = mid if F(mid) < value else approach(a, True)
-    hi = mid if F(mid) > value else approach(b, False)
-    return min(lo, hi), max(lo, hi)
+    ds = s1 - s0
+    end = math.isinf(s1)
+    psi0 = (A * s0 + B) * s0 + C
+    if A == 0.0:
+        psi1 = C if B == 0.0 else B * s1 + C
+        if not psi0 * psi1 > 0.0:
+            return math.copysign(math.inf, ds)
+        return 1.0 / (B * psi0) if end and B != 0.0 else ds / (psi0 * psi1)
+    delta = 4.0 * A * C - B * B
+    u0 = 2.0 * A * s0 + B
+    u1 = 2.0 * A * s1 + B
+    psi1 = math.copysign(math.inf, A) if end else (A * s1 + B) * s1 + C
+    if not psi0 * psi1 > 0.0 or (u0 * u1 < 0.0 and delta <= 0.0 < A * psi0):
+        return math.copysign(math.inf, ds)   # a root between s0 and s1
+    m = min(abs(u0), abs(u1))
+    if u0 * u1 > 0.0 and abs(delta) <= 0.1 * m * m:
+        # 8A sum_n (n+1) (-delta)^n (u0^-k - u1^-k) / k, k = 3 + 2n, where
+        # u0^-k - u1^-k = (1/u0 - 1/u1) m^(1-k) S_k(m/u0, m/u1) and
+        # S_k(a, b) = sum_{j<k} a^j b^(k-1-j) adds terms of one sign
+        a, b, x = m / u0, m / u1, -delta / (m * m)
+        S, bk, xn, total = 1.0, b, 1.0, 0.0   # S_1, b^1, x^0
+        for n in range(60):
+            S = a * (a * S + bk) + bk * b     # S_{k+2} from S_k
+            bk *= b * b
+            term = (n + 1) * xn * S / (3 + 2 * n)
+            total += term
+            if abs(term) <= 1e-17 * abs(total):
+                break
+            xn *= x
+        diff = 1.0 / u0 if end else 2.0 * A * ds / (u0 * u1)
+        return 8.0 * A * diff * total / (m * m)
+    if delta == 0.0:  # an end on the double root
+        return math.copysign(math.inf, ds)
+    du = 2.0 * A * ds
+    t1 = -u0 / psi0 if end else -ds * (u0 * u1 - delta) / (2.0 * psi0 * psi1)
+    if delta > 0.0:
+        w = math.sqrt(delta)
+        sig = math.copysign(1.0, u1)
+        I = 2.0 / w * (math.atan2(sig * w, sig * u0) if end
+                       else math.atan2(w * du, delta + u0 * u1))
+    else:
+        # I = log1p(x) / r, 1 + x = (u1 - r)(u0 + r) / ((u1 + r)(u0 - r)); the
+        # factor that cancels comes from (u + r)(u - r) = 4 A psi, and
+        # du / (u1 + r) -> 1 as u1 -> +-inf
+        r = math.sqrt(-delta)
+        m0 = u0 - r if u0 < 0.0 else 4.0 * A * psi0 / (u0 + r)
+        p1 = u1 + r if u1 >= 0.0 else 4.0 * A * psi1 / (u1 - r)
+        I = math.log1p(2.0 * r * (1.0 if end else du / p1) / m0) / r
+    return (t1 + 2.0 * A * I) / delta
 
 
 # ---------------------------------------------------------------------------
@@ -264,32 +206,67 @@ def _bracket(F: Callable[[float], float], comp: Tuple[float, float],
 
 @dataclass(frozen=True)
 class GeodesicSolution:
-    """Geodesic through x0 + s(t)*e with F(y(t)) = alpha*t + beta."""
+    """Geodesic t -> x0 + s(t) e with s' = rate psi(s)^2, so that
+    J0(s0, s(t)) = rate (t - t0); alpha, beta: F(y(t)) = alpha t + beta."""
 
     line: GeodesicLine
     case: GeodesicCase
     alpha: float
     beta: float
     t_interval: Tuple[float, float]
-    component: Tuple[float, float]
+    t0: float
+    s0: float
+    rate: float
+    s_interval: Tuple[float, float]   # psi has no root inside
+    coeffs: Tuple[float, float, float]   # (A, B, C) of psi along the line
     asymptotics: dict = field(default_factory=dict)
 
-    def y_at(self, t: float) -> float:
-        return F_invert(self.case, self.component, self.alpha * t + self.beta)
+    def _solve(self, t: float, s: float) -> float:
+        """s(t) by Newton from s on J0(s0, s) = rate (t - t0), bracketed."""
+        if not math.isfinite(t):
+            raise ValueError(f"time must be finite, got {t}")
+        if not self.t_interval[0] < t < self.t_interval[1]:
+            raise DomainError(f"t = {t} outside the maximal interval {self.t_interval}")
+        A, B, C = self.coeffs
+        target = self.rate * (t - self.t0)
+        lo, hi = self.s_interval
+        for _ in range(200):
+            g = psi_integral(A, B, C, self.s0, s) - target
+            if not math.isfinite(target) or math.isnan(g):
+                raise DomainError(f"s(t) at t = {t} leaves the float range")
+            if g == 0.0:
+                return s
+            lo, hi = (s, hi) if g < 0.0 else (lo, s)
+            psi = (A * s + B) * s + C
+            cand = s - g * psi * psi
+            if abs(cand - s) <= 1e-15 * abs(cand):   # a step of rounding size
+                return cand
+            if not lo < cand < hi:
+                # toward an infinite end, step out by more than |s|
+                cand = (lo + 1.0 + abs(lo) if math.isinf(hi) else
+                        hi - 1.0 - abs(hi) if math.isinf(lo) else 0.5 * (lo + hi))
+                if not lo < cand < hi:   # lo and hi are adjacent floats
+                    return s
+            s = cand
+        raise RuntimeError(f"s(t) at t = {t} did not converge")
 
     def s_at(self, t: float) -> float:
-        return self.case.from_y(self.y_at(t))
+        return self._solve(t, self.s0)
 
     def point(self, t: float) -> np.ndarray:
         return self.line.point(self.s_at(t))
 
     def velocity(self, t: float) -> np.ndarray:
-        _, Fp, _ = _F_for_case(self.case)
-        ydot = self.alpha / Fp(self.y_at(t))
-        return (ydot / self.case.alpha_r) * self.line.e
+        psi = self.line.model.psi(self.point(t))
+        return (self.rate * psi * psi) * self.line.e
 
     def sample(self, ts) -> np.ndarray:
-        return np.array([self.point(t) for t in np.asarray(ts, dtype=float)])
+        """Points at the times ts, in any order; each solve starts from the
+        root of the one before."""
+        ss = [self.s0]
+        for t in np.asarray(ts, dtype=float).tolist():
+            ss.append(self._solve(t, ss[-1]))
+        return self.line.x0 + np.array(ss[1:]).reshape(-1, 1) * self.line.e
 
 
 def solve_geodesic(line: GeodesicLine, t0: float, s0: float,
@@ -301,31 +278,47 @@ def solve_geodesic(line: GeodesicLine, t0: float, s0: float,
         raise ValueError("initial speed must be nonzero (degenerate geodesic)")
     if not contains(line.model, line.point(s0)):
         raise DomainError("initial point outside the model")
+    A, B, C = coeffs = line.psi_coeffs()
     case = reduce_line(line)
+    # alpha = F'(y0) y'(0) with F' = k/P(y)^2, read at y0 only
     y0 = case.to_y(s0)
-    ydot0 = case.alpha_r * sdot0
-    comp = _component_of(case, y0)
-    F, Fp, _ = _F_for_case(case)
-    alpha = Fp(y0) * ydot0
-    beta = F(y0) - alpha * t0
-    lo_r, hi_r = _F_range(case, comp)
-    if alpha > 0:
-        t_interval = ((lo_r - beta) / alpha, (hi_r - beta) / alpha)
+    p = case.normal_poly(y0)
+    if not p * p > 0.0:   # also where 1/P(y0)^2 overflows
+        raise DomainError("initial point sits on the boundary psi = 0")
+    k = {None: 1, 1: 2, 0: 3, -1: 4}[case.lambda_prime]
+    alpha = k / (p * p) * (case.alpha_r * sdot0)
+    beta = (y0 if case.case == C1_CONSTANT else -1.0 / y0 if case.case ==
+            C2_SINGLE_POLE else F_eval(case.lambda_prime, y0)) - alpha * t0
+    psi0 = (A * s0 + B) * s0 + C
+    rate = sdot0 / (psi0 * psi0) if psi0 * psi0 > 0.0 else math.inf
+    # s_interval: the roots of psi next to s0, where J0 diverges, so that only
+    # an infinite end of s is reached in finite time
+    delta = 4.0 * A * C - B * B
+    if A != 0.0 and delta <= 0.0:
+        q = -0.5 * (B + math.copysign(math.sqrt(-delta), B))
+        roots = [q / A, C / q]
     else:
-        t_interval = ((hi_r - beta) / alpha, (lo_r - beta) / alpha)
-    return GeodesicSolution(line, case, alpha, beta, t_interval, comp,
-                            asymptotics=_asymptotics(line, case, comp))
+        roots = [-C / B] if A == 0.0 and B != 0.0 else []
+    s_interval = (max((r for r in roots if r < s0), default=-math.inf),
+                  min((r for r in roots if r > s0), default=math.inf))
+    ends = sorted(t0 + (psi_integral(A, B, C, s0, edge) if math.isinf(edge)
+                        else math.copysign(math.inf, edge - s0)) / rate
+                  for edge in s_interval)
+    if not (all(map(math.isfinite, (rate, alpha, beta))) and rate != 0.0
+            and ends[0] <= ends[1]):   # False on NaN
+        raise DomainError(f"the geodesic with s'({t0}) = {sdot0} at psi = {psi0} "
+                          "leaves the float range")
+    return GeodesicSolution(line, case, alpha, beta, (ends[0], ends[1]), t0, s0,
+                            rate, s_interval, coeffs, _asymptotics(line, case))
 
 
-def _asymptotics(line: GeodesicLine, case: GeodesicCase,
-                 comp: Tuple[float, float]) -> dict:
+def _asymptotics(line: GeodesicLine, case: GeodesicCase) -> dict:
     if case.case == C1_CONSTANT:
         return {"kind": "affine", "note": "affine parameterization of the line"}
     if case.case == C2_SINGLE_POLE:
-        s_pole = case.from_y(0.0)
         return {
             "kind": "infinite-time-limit",
-            "x_inf": line.point(s_pole),
+            "x_inf": line.point(-case.beta_r / case.alpha_r),   # y = 0
             "note": "tends to the boundary point in infinite time, "
                     "distance ~ cst/|t|",
         }
@@ -384,9 +377,9 @@ class TravelTime:
 def travel_time(model: CanonicalModel, a, b, alpha: float = 1.0) -> TravelTime:
     """Time along the straight chord [a, b] in the isochrone metric h.
 
-    T = alpha * sqrt(|q(b-a)|) * |F(y_b) - F(y_a)| / (k * scale^2 * |alpha_r|)
-    through the line's normal form; null chords carry no information and are
-    flagged.
+    T = alpha sqrt|A| J0(0, 1) for the chord's psi(s) = A s^2 + B s + C; null
+    chords carry no information and are flagged.  A chord through psi = 0,
+    where J0 diverges, and a time that overflows are refused.
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"gauge alpha must be finite and positive, got {alpha}")
@@ -398,20 +391,16 @@ def travel_time(model: CanonicalModel, a, b, alpha: float = 1.0) -> TravelTime:
     e = b - a
     if float(e @ e) == 0.0:
         return TravelTime(0.0, "Spacelike", "coincident endpoints")
-    qe = model.sig.q(e)
-    if abs(qe) <= 1e-14 * float(e @ e):
+    A, B, C = chord_quadratic(model, a, e)
+    if abs(A) <= 1e-14 * float(e @ e):
         return TravelTime(0.0, "Null",
                           "null chord: the isochrone speed vanishes "
                           "identically, no information")
-    if not segment_margin(model, a, b) > 0.0:
-        raise DomainError("segment exits the domain")
-    line = GeodesicLine(model, a, e)
-    case = reduce_line(line)
-    F, _, k = _F_for_case(case)
-    y_a = case.to_y(0.0)
-    y_b = case.to_y(1.0)
-    T = (alpha * math.sqrt(abs(qe)) * abs(F(y_b) - F(y_a))
-         / (k * case.scale**2 * abs(case.alpha_r)))
+    J = psi_integral(A, B, C, 0.0, 1.0)
+    T = alpha * math.sqrt(abs(A)) * J
+    if not math.isfinite(T):
+        raise DomainError("segment exits the domain" if math.isinf(J)
+                          else f"travel time {T} is not finite")
     return TravelTime(T, "Spacelike")
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "parse_model",
     "format_model",
     "contains",
+    "chord_quadratic",
     "segment_margin",
     "arc_margin",
     "domain_facts",
@@ -148,11 +149,20 @@ def contains(M: CanonicalModel, x) -> bool:
     return True
 
 
+def chord_quadratic(M: CanonicalModel, a, e) -> tuple:
+    """(q(e), 2 (a.e)_q, psi(a)): psi(a + s e) = A s^2 + B s + C.  Refuses
+    with DomainError when one overflows, as no chord answer is then exact."""
+    coeffs = (M.sig.q(e), 2.0 * M.sig.dot(a, e), M.psi(a))
+    if not all(map(math.isfinite, coeffs)):
+        raise DomainError(f"psi along the chord {a} + s {e} overflows: {coeffs}")
+    return coeffs
+
+
 def segment_margin(M: CanonicalModel, a, b) -> float:
     """Exact minimum of nu psi over [a, b]; -inf if a is outside M.
 
-    psi(a + s e) = q(e) s^2 + 2 (a.e)_q s + psi(a) dips below its endpoint
-    values only at the vertex s* = -(a.e)_q / q(e), when nu q(e) > 0.  As
+    psi(a + s e) = A s^2 + B s + C (chord_quadratic) dips below its endpoint
+    values only at the vertex s* = -B / (2A), when nu A > 0.  As
     nu psi <= 0 where the branch coordinate vanishes, a path keeping
     nu psi > 0 stays on the branch of its start, and contains(M, a) settles
     the branch.
@@ -161,11 +171,11 @@ def segment_margin(M: CanonicalModel, a, b) -> float:
     b = np.asarray(b, dtype=float)
     if not contains(M, a):
         return -math.inf
-    margin = min(M.nu * M.psi(a), M.nu * M.psi(b))
     e = b - a
-    qe = M.sig.q(e)
-    if M.nu * qe > 0.0:
-        s = -M.sig.dot(a, e) / qe
+    A, B, C = chord_quadratic(M, a, e)
+    margin = min(M.nu * C, M.nu * M.psi(b))
+    if M.nu * A > 0.0:
+        s = -0.5 * B / A
         if 0.0 < s < 1.0:
             margin = min(margin, M.nu * M.psi(a + s * e))
     return margin

@@ -302,7 +302,15 @@ def test_exit_code_domain_error(capsys):
                  ["transport", "--model", "S(1,1;1;+)", "--arc-plane", "1,2",
                   "--theta1", "800"],
                  ["transport", "--model", "S(1,1;-1;-)", "--arc-plane", "1,2",
-                  "--radius", "0.9", "--theta1", "300"]):
+                  "--radius", "0.9", "--theta1", "300"],
+                 # q(e) overflows a double, and then so would every answer
+                 ["travel-time", "--model", "S(2,0;1;+)", "--from", "0,0",
+                  "--to", "1e200,0"],
+                 ["geodesic", "--model", "S(2,0;1;+)", "--from", "0,0",
+                  "--dir", "1e300,0"],
+                 # the time itself overflows
+                 ["travel-time", "--model", "S(2,0;-1;-)", "--from", "0,0",
+                  "--to", "0.9,0", "--alpha", "1e308"]):
         code, out, err = _invoke(capsys, argv)
         assert code == 2
         payload = _strict_loads(out)
@@ -340,10 +348,12 @@ def test_exit_code_zero_ray_direction(capsys):
      "0.5", "--ode", "--tol", "0"],
     ["transport", "--model", "S(2,0;-1;-)", "--ray", "1,0", "--t0", "0.1", "--t1",
      "0.5", "--ode", "--tol", "nan"],
+    ["geodesic", "--model", "S(2,0;1;+)", "--from", "0,0", "--dir", "1,0",
+     "--sample", "0,nan,5"],
 ], ids=["ray-t0-nan", "arc-theta1-nan", "find-s0-negative-tol", "zero-samples",
         "h-geodesic-t1-inf", "h-geodesic-alpha-zero", "travel-time-alpha-negative",
         "geodesic-sdot0-inf", "h-geodesic-tol-zero", "h-geodesic-tol-nan",
-        "transport-ode-tol-zero", "transport-ode-tol-nan"])
+        "transport-ode-tol-zero", "transport-ode-tol-nan", "geodesic-sample-nan"])
 def test_exit_code_invalid_numbers(capsys, argv):
     code, out, err = _invoke(capsys, argv)
     assert code == 3 and out == ""

@@ -1,9 +1,14 @@
-"""Geodesic parameterization: case reduction, F inversion, travel times."""
+"""Chord geodesics: the integral J0 = int ds / psi^2 against mpmath, the
+solve in s, case reduction, travel times and their symmetries."""
 
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stiffgeo.errors import DomainError
 from stiffgeo.geodesics import (
@@ -13,16 +18,16 @@ from stiffgeo.geodesics import (
     C4_DOUBLE_POLE,
     C5_NO_POLE,
     F_eval,
-    F_invert,
     GeodesicLine,
     completeness_verdict,
     find_s0,
+    psi_integral,
     reduce_line,
     solve_geodesic,
     travel_time,
     triangle_experiment,
 )
-from stiffgeo.models import parse_model
+from stiffgeo.models import parse_model, segment_margin
 from stiffgeo.projconn import form_from_potential
 
 RNG = np.random.default_rng(20260805)
@@ -145,37 +150,243 @@ def test_F_derivative_identity():
             assert fd == pytest.approx(k / P(y) ** 2, rel=1e-8), (lp, y)
 
 
-def test_F_invert_round_trip():
-    lines = [
-        GeodesicLine(DISK, [0.0, 0.0], [0.9, 0.0]),            # C3 inside
-        GeodesicLine(parse_model("S(2,0;-1;+)"), [2.0, 0.0], [1.0, 0.0]),
-        GeodesicLine(parse_model("S(2,0;0;+)"), [1.0, 0.0], [1.0, 0.0]),
-        GeodesicLine(PLANE, [0.0, 0.0], [1.0, 0.0]),           # C5
-        GeodesicLine(parse_model("S(1,1;1;+)"), [1.0, 0.5], [1.0, 1.0]),
-    ]
-    for line in lines:
-        sol = solve_geodesic(line, 0.0, 0.0, 1.0)
-        comp = sol.component
-        lo, hi = comp
-        for _ in range(30):
-            y = RNG.uniform(max(lo, -5.0) + 1e-3, min(hi, 5.0) - 1e-3)
-            if not lo < y < hi:
+# ---------------------------------------------------------------------------
+# the chord integral J0 against mpmath
+
+EPS = sys.float_info.epsilon
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
+                    database=None)
+
+
+def _mp_quad(A, B, C, s0, s1):
+    """int_{s0}^{s1} ds / psi^2 by mpmath.quad at 30 digits, split at the
+    vertex; a finite interval is mapped onto [0, 1] (quad's tolerance is
+    absolute)."""
+    with mpmath.workdps(30):
+        A, B, C, s0 = mpmath.mpf(A), mpmath.mpf(B), mpmath.mpf(C), mpmath.mpf(s0)
+        f = lambda s: 1 / (A * s * s + B * s + C) ** 2
+        if math.isinf(s1):
+            pts = [s0, s1 * mpmath.inf]
+        else:
+            ds = mpmath.mpf(s1) - s0
+            pts, f0 = [0, 1], f
+            f = lambda t: ds * f0(s0 + t * ds)
+        if A != 0:
+            v = -B / (2 * A) if math.isinf(s1) else (-B / (2 * A) - s0) / ds
+            if min(pts) < v < max(pts):
+                pts = [pts[0], v, pts[1]]
+        return mpmath.quad(f, pts)
+
+
+def _mp_exact(A, B, C, s0, s1):
+    """J0 = G(s1) - G(s0) for the textbook antiderivative G of 1/psi^2, at
+    60 digits and as many more as G(s1) - G(s0) cancels on a short interval:
+    with float inputs exact, the up to 16 digits that cancel near a double
+    root leave more than 40."""
+    short = 0 if math.isinf(s1) else -math.log10(abs(s1 - s0) / (1 + abs(s0)))
+    with mpmath.workdps(60 + max(0, int(short))):
+        A, B, C = mpmath.mpf(A), mpmath.mpf(B), mpmath.mpf(C)
+        delta = 4 * A * C - B * B
+
+        def G(s):
+            end = math.isinf(s)
+            s = s * mpmath.inf if end else mpmath.mpf(s)
+            if A == 0 and B == 0:
+                return s / (C * C)
+            if A == 0:
+                return 0 if end else -1 / (B * (B * s + C))
+            u = 2 * A * s + B
+            if delta == 0:
+                return 0 if end else -8 * A / (3 * u**3)
+            head = 0 if end else u / (delta * (A * s * s + B * s + C))
+            if delta > 0:
+                w = mpmath.sqrt(delta)
+                return head + 4 * A / (delta * w) * mpmath.atan(u / w)
+            r = mpmath.sqrt(-delta)
+            return head + (0 if end else 2 * A / (delta * r)
+                           * mpmath.log(abs((u - r) / (u + r))))
+
+        return G(s1) - G(s0)
+
+
+def _rel_err(A, B, C, s0, s1):
+    got = psi_integral(A, B, C, s0, s1)
+    if s0 == s1:
+        return abs(got)
+    want = _mp_exact(A, B, C, s0, s1)
+    return float(abs((got - want) / want))
+
+
+def _condition(A, B, C, s0, s1):
+    """Relative condition number sum_X |X dJ0/dX| / |J0| over X = A, B, C,
+    by central differences of _mp_exact at 60 digits.  Over the vertex of a
+    nearly square psi, J0 moves like delta^(-3/2) and delta = 4AC - B^2
+    cancels, so this number grows without bound as delta -> 0."""
+    with mpmath.workdps(60):
+        J, total = _mp_exact(A, B, C, s0, s1), 0
+        for i in range(3):
+            X = [mpmath.mpf(c) for c in (A, B, C)]
+            if X[i] == 0:
                 continue
-            from stiffgeo.geodesics import _F_for_case
-            F, _, _ = _F_for_case(sol.case)
-            back = F_invert(sol.case, comp, F(y))
-            assert back == pytest.approx(y, rel=1e-9, abs=1e-9)
+            h, X0 = X[i] * mpmath.mpf(10) ** -25, X[i]
+            X[i] = X0 + h
+            up = _mp_exact(*X, s0, s1)
+            X[i] = X0 - h
+            total += abs(X0 * (up - _mp_exact(*X, s0, s1)) / (2 * h))
+        return float(total / abs(J))
 
 
-def test_F_invert_rejects_out_of_range():
-    line = GeodesicLine(PLANE, [0.0, 0.0], [1.0, 0.0])
-    sol = solve_geodesic(line, 0.0, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        F_invert(sol.case, sol.component, 10.0)   # range is (-pi/2, pi/2)
+# (A, B, C, s0, s1): constant, single pole, two poles (inside, then outside),
+# double pole and no pole, each with a finite and an infinite end, except the
+# constant one, whose J0 is infinite at an infinite end
+FIVE_CASES = [
+    (0.0, 0.0, 1.75, -0.3, 2.0), (0.0, 0.0, -2.0, 0.5, -3.0),
+    (0.0, 1.0, 1.75, -0.5, 3.0), (0.0, -2.0, 1.0, -1.0, -math.inf),
+    (0.81, 0.0, -1.0, 0.0, 1.0), (1.0, 4.0, 2.0, 0.5, math.inf),
+    (1.0, 2.0, 1.0, 0.0, 1.0), (-2.0, 4.0, -2.0, 2.5, math.inf),
+    (1.0, 0.0, 1.0, 0.0, 0.7), (2.0, -1.0, 3.0, -1.0, math.inf),
+]
+
+
+@pytest.mark.parametrize("A,B,C,s0,s1", FIVE_CASES)
+def test_psi_integral_five_cases_match_mpmath(A, B, C, s0, s1):
+    """Well-conditioned examples of each normal form: a few roundings in u,
+    psi and the closing sum, so 1e-14 relative.  Quadrature checks the
+    closed-form reference the sweeps below use."""
+    assert _rel_err(A, B, C, s0, s1) < 1e-14
+    exact = _mp_exact(A, B, C, s0, s1)
+    assert abs(_mp_quad(A, B, C, s0, s1) - exact) < 1e-25 * abs(exact)
+    assert math.isinf(s1) or psi_integral(A, B, C, s1, s0) == -psi_integral(A, B, C, s0, s1)
+
+
+def test_psi_integral_limits():
+    """The closed forms at s1 = s0, at an infinite end, and across a root."""
+    assert psi_integral(1.0, 0.0, 1.0, 0.3, 0.3) == 0.0
+    assert psi_integral(1.0, 0.0, 1.0, 0.0, math.inf) == pytest.approx(math.pi / 4, rel=1e-15)
+    assert psi_integral(0.0, 0.0, 1.0, 0.0, -math.inf) == -math.inf
+    # [0, 2] holds the root s = 1 of s^2 - 1 and of 1 - s: the integral diverges
+    assert psi_integral(1.0, 0.0, -1.0, 0.0, 2.0) == math.inf
+    assert psi_integral(0.0, -1.0, 1.0, 0.0, 2.0) == math.inf
+    # psi = (s - 1)^2 + 1e-30: outside the roots of s^2 - 2s + 1 - 1e-30 at both ends
+    assert psi_integral(1.0, -2.0, 1.0 - 1e-15, -1.0, 3.0) == math.inf
+
+
+@PROPERTY
+@given(st.floats(-3.0, 3.0), st.sampled_from([-1.0, 1.0]),
+       st.floats(-16.0, -2.0), st.sampled_from([-1.0, 1.0]),
+       st.floats(-1.0, 1.0), st.floats(0.5, 2.0), st.sampled_from([-1.0, 1.0]),
+       st.floats(0.5, 3.0), st.one_of(st.floats(0.5, 3.0), st.just(math.inf),
+                                      st.floats(-12.0, -1.0)))
+def test_psi_integral_near_a_double_root(log_a, sign_a, log_rel, sign_delta, v,
+                                         w, side, d0, d1):
+    """psi = A ((s - v)^2 + rel w^2) with |rel| from 1e-16 to 1e-2, of either
+    sign, on one side of the vertex v and at least 0.5 from it: the series in
+    delta (|delta| <= 0.1 u^2) or the closed form.  With |v| <= 1, J0 depends
+    on A, B and C with a condition number below 10, so a fixed 1e-14."""
+    A = sign_a * 10.0**log_a
+    B, C = -2.0 * A * v, A * (v * v + sign_delta * 10.0**log_rel * w * w)
+    s0 = v + side * d0
+    if d1 < 0.0:               # a short interval, down to 1e-12
+        s1 = s0 + side * 10.0**d1
+    else:                      # either way from s0, or out to infinity
+        s1 = v + side * d1
+    assert _rel_err(A, B, C, s0, s1) < 1e-14
+
+
+@PROPERTY
+@given(st.floats(-20.0, 0.0), st.sampled_from([-1.0, 1.0]),
+       st.floats(-1.0, 1.0), st.floats(1.0, 2.0), st.sampled_from([-1.0, 1.0]),
+       st.floats(-0.9, 0.9), st.floats(-0.9, 0.9))
+def test_psi_integral_as_A_tends_to_zero(log_a, sign_a, B, C, sign_c, s0, s1):
+    """A from 1 down to 1e-20 with |B| <= 1 <= |C|: the near root -C/B lies
+    outside [-0.9, 0.9] and the far one near -B/A, so psi stays away from 0
+    and the closed form (delta of either sign) is well conditioned: 1e-14."""
+    A, C = sign_a * 10.0**log_a, sign_c * C
+    assert _rel_err(A, B, C, s0, s1) < 1e-14
+
+
+@PROPERTY
+@given(st.floats(-3.0, 3.0), st.sampled_from([-1.0, 1.0]),
+       st.floats(-12.0, 0.0), st.floats(-1.0, 1.0), st.floats(0.5, 2.0),
+       st.floats(0.01, 2.0), st.one_of(st.floats(0.01, 2.0), st.just(math.inf)),
+       st.sampled_from([-1.0, 1.0]))
+def test_psi_integral_across_the_vertex(log_a, sign_a, log_rel, v, w, d0, d1, side):
+    """Intervals over the vertex of psi = A ((s - v)^2 + rel w^2), rel > 0:
+    the value there is 1/psi(v)^2 = 16 A^2 / delta^2, and delta = 4AC - B^2
+    cancels, so the bound grows with the condition number in (A, B, C)."""
+    A = sign_a * 10.0**log_a
+    B, C = -2.0 * A * v, A * (v * v + 10.0**log_rel * w * w)
+    s0, s1 = v - side * d0 * w, v + side * d1 * w
+    err = _rel_err(A, B, C, s0, s1)
+    assert err < 1e-14 + 4.0 * EPS * _condition(A, B, C, s0, s1)
 
 
 # ---------------------------------------------------------------------------
 # solutions of the geodesic equation
+
+
+SOLVE_LINES = {
+    "two-poles-inside": GeodesicLine(DISK, [0.0, 0.0], [0.9, 0.0]),
+    "two-poles-outside": GeodesicLine(parse_model("S(2,0;-1;+)"), [2.0, 0.0], [1.0, 0.0]),
+    "double-pole": GeodesicLine(parse_model("S(2,0;0;+)"), [1.0, 0.0], [1.0, 0.0]),
+    "no-pole": GeodesicLine(PLANE, [0.0, 0.0], [1.0, 0.0]),
+    "single-pole": GeodesicLine(parse_model("S(1,1;1;+)"), [1.0, 0.5], [1.0, 1.0]),
+    "constant": GeodesicLine(parse_model("S(1,1;1;+)"), [0.5, 0.5], [1.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("line", SOLVE_LINES.values(), ids=SOLVE_LINES.keys())
+def test_solved_s_satisfies_the_integral_equation(line):
+    """J0(s0, s(t)) = rate (t - t0) to rounding, inside t_interval."""
+    sol = solve_geodesic(line, 0.25, 0.1, -0.7)
+    lo, hi = sol.t_interval
+    lo, hi = max(lo, 0.25 - 10.0), min(hi, 0.25 + 10.0)
+    for t in np.linspace(lo, hi, 41)[1:-1]:
+        got = psi_integral(*sol.coeffs, sol.s0, sol.s_at(t))
+        assert got == pytest.approx(sol.rate * (t - sol.t0), rel=1e-13, abs=1e-15)
+
+
+def test_solve_refuses_times_outside_the_interval():
+    sol = solve_geodesic(SOLVE_LINES["no-pole"], 0.0, 0.0, 1.0)   # (-pi/4, pi/4)
+    for t in (math.pi / 4, 1.0, -2.0):
+        with pytest.raises(DomainError):
+            sol.s_at(t)
+    with pytest.raises(DomainError):
+        sol.sample([0.0, 0.5, 0.9])
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            sol.point(t)
+
+
+def test_sample_in_any_order_matches_single_solves():
+    """Warm starts from the previous root change nothing beyond rounding."""
+    sol = solve_geodesic(SOLVE_LINES["two-poles-inside"], 0.0, 0.0, 1.0)
+    ts = np.linspace(-3.0, 3.0, 25)
+    pts = sol.sample(ts)
+    perm = RNG.permutation(len(ts))
+    assert np.allclose(sol.sample(ts[perm]), pts[perm], rtol=1e-14, atol=1e-15)
+    for t, p in zip(ts[::6], pts[::6]):
+        assert np.allclose(sol.point(t), p, rtol=1e-14, atol=1e-15)
+
+
+# the chord of S(1,1;0;+) on which psi is nearly a perfect square (relative
+# discriminant 1.3e-8); its h-length by mpmath at 50 digits
+NEAR_SQUARE = ([2.0647107734824903, -1.3025667252313344],
+               [0.6350870695619868, -0.40070232668003514], 0.044811377852405700045)
+
+
+def test_near_double_root_chord_starts_where_it_should():
+    a, e, _ = NEAR_SQUARE
+    line = GeodesicLine(parse_model("S(1,1;0;+)"), a, e)
+    start = solve_geodesic(line, 0.0, 0.0, 1.9860823075959089).point(0.0)
+    assert np.abs(start - np.array(a)).max() <= 1e-12 * np.abs(a).max()
+
+
+def test_near_double_root_chord_travel_time_matches_mpmath():
+    a, e, want = NEAR_SQUARE
+    a = np.array(a)
+    got = travel_time(parse_model("S(1,1;0;+)"), a, a + np.array(e)).time
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_geodesic_satisfies_connection_ode():
@@ -252,6 +463,60 @@ def test_solve_rejects_zero_speed():
     line = GeodesicLine(DISK, [0.0, 0.0], [1.0, 0.0])
     with pytest.raises(ValueError):
         solve_geodesic(line, 0.0, 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# symmetries of chord answers
+
+
+def _chords(model, n, rng):
+    """n chords [a, b] off null directions, along which nu psi stays above
+    0.05 and within a factor 4: there an input rounding moves times and
+    points by a few ulps times (max |psi| / min |psi|)^2, well below 1e-12."""
+    chords = []
+    while len(chords) < n:
+        a, b = rng.uniform(-2.5, 2.5, size=(2, 2))
+        nu_psi = [model.nu * model.psi(a + s * (b - a)) for s in np.linspace(0, 1, 33)]
+        if (abs(model.sig.q(b - a)) >= 0.1 * float((b - a) @ (b - a))
+                and segment_margin(model, a, b) > 0.05
+                and max(nu_psi) < 4.0 * min(nu_psi)):
+            chords.append((a, b))
+    return chords
+
+
+@pytest.mark.parametrize("tag", ["S(2,0;0;+)", "S(1,1;0;+)", "S(1,1;0;-)",
+                                 "S(0,2;0;-)"])
+def test_travel_time_scales_as_inverse_cube_under_dilation(tag):
+    """psi = q(x) when lambda = 0: x -> c x scales g-lengths by c and psi^2
+    by c^4, so h-times by c^-3."""
+    model = parse_model(tag)
+    for a, b in _chords(model, 20, np.random.default_rng(3)):
+        t = travel_time(model, a, b).time
+        for c in (0.3, 1.7, 2.9):
+            assert travel_time(model, c * a, c * b).time == pytest.approx(
+                t / c**3, rel=1e-12)
+
+
+@pytest.mark.parametrize("tag", ["S(1,1;-1;+)", "S(1,1;0;+)", "S(1,1;1;+)",
+                                 "S(1,1;-1;-)", "S(1,1;0;-)", "S(1,1;1;-)"])
+def test_chord_answers_are_boost_invariant(tag):
+    """A boost L of rapidity 0.7 preserves q, psi and each branch, so it maps
+    chord geodesics onto chord geodesics with the same clock."""
+    model = parse_model(tag)
+    ch, sh = math.cosh(0.7), math.sinh(0.7)
+    L = np.array([[ch, sh], [sh, ch]])
+    for a, b in _chords(model, 20, np.random.default_rng(4)):
+        assert travel_time(model, L @ a, L @ b).time == pytest.approx(
+            travel_time(model, a, b).time, rel=1e-12)
+        sol = solve_geodesic(GeodesicLine(model, a, b - a), 0.0, 0.0, 1.0)
+        moved = solve_geodesic(GeodesicLine(model, L @ a, L @ (b - a)), 0.0, 0.0, 1.0)
+        for t, t_moved in zip(sol.t_interval, moved.t_interval):
+            assert t_moved == t or t_moved == pytest.approx(t, rel=1e-12)
+        ts = np.linspace(0.0, psi_integral(*sol.coeffs, 0.0, 1.0) / sol.rate, 9)
+        want = sol.sample(ts) @ L.T
+        got = moved.sample(ts)
+        scale = np.abs(want).max(axis=1, keepdims=True)
+        assert np.abs(got - want).max() <= 1e-12 * scale.max()
 
 
 # ---------------------------------------------------------------------------
