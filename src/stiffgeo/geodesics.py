@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DomainError
 from .models import (CanonicalModel, chord_quadratic, contains, interior_point,
                      parse_model)
+from .pseudospace import as_floats, norm2
 
 C1_CONSTANT = "C1_Constant"
 C2_SINGLE_POLE = "C2_SinglePole"
@@ -40,7 +41,7 @@ class GeodesicLine:
         e = np.asarray(e, dtype=float)
         if not contains(model, x0):
             raise DomainError(f"base point {x0} outside model {model}")
-        if float(e @ e) == 0.0:
+        if norm2(as_floats(e)) == 0.0:
             raise ValueError("direction must be nonzero")
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "x0", x0)
@@ -383,16 +384,16 @@ def travel_time(model: CanonicalModel, a, b, alpha: float = 1.0) -> TravelTime:
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"gauge alpha must be finite and positive, got {alpha}")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = as_floats(a), as_floats(b)
     for p in (a, b):
         if not contains(model, p):
-            raise DomainError(f"endpoint {p} outside model {model}")
-    e = b - a
-    if float(e @ e) == 0.0:
+            raise DomainError(f"endpoint {np.array(p)} outside model {model}")
+    e = [y - x for x, y in zip(a, b)]
+    ee = norm2(e)
+    if ee == 0.0:
         return TravelTime(0.0, "Spacelike", "coincident endpoints")
     A, B, C = chord_quadratic(model, a, e)
-    if abs(A) <= 1e-14 * float(e @ e):
+    if abs(A) <= 1e-14 * ee:
         return TravelTime(0.0, "Null",
                           "null chord: the isochrone speed vanishes "
                           "identically, no information")

@@ -18,12 +18,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
 
 from .errors import DomainError
-from .pseudospace import AffineMap, Signature, classify_affine_map
+from .pseudospace import AffineMap, Signature, as_floats, classify_affine_map
 from .projconn import (ProjectiveMap, QuadraticFunction, QuadraticPotential,
                        is_flat)
 
@@ -97,8 +98,21 @@ class CanonicalModel:
     def branch_coordinate(self) -> Optional[int]:
         return _branch_coordinate(self.sig, self.lam, self.nu)
 
+    @cached_property
+    def _kept_side(self) -> Optional[tuple]:
+        """(index, sign) when the kept branch is sign * x[index] > 0, else
+        None (the whole domain)."""
+        bc = self.branch_coordinate
+        if bc is None or self.branch == BRANCH_WHOLE:
+            return None
+        return bc, 1.0 if self.branch == BRANCH_RIGHT else -1.0
+
     def psi(self, x) -> float:
         return self.sig.q(x) + self.lam
+
+    def psi_floats(self, xs: list) -> float:
+        """psi of a list of Python floats."""
+        return self.sig.q_floats(xs) + self.lam
 
     def potential(self) -> QuadraticPotential:
         return QuadraticPotential.canonical(self.sig, self.lam)
@@ -138,24 +152,30 @@ def format_model(M: CanonicalModel) -> str:
 
 def contains(M: CanonicalModel, x) -> bool:
     """Strict domain membership nu (q + lambda) > 0, plus the branch sign."""
-    x = np.asarray(x, dtype=float)
-    if not M.nu * M.psi(x) > 0.0:  # also refuses NaN
-        return False
-    bc = M.branch_coordinate
-    if bc is not None and M.branch == BRANCH_RIGHT:
-        return x[bc] > 0.0
-    if bc is not None and M.branch == BRANCH_LEFT:
-        return x[bc] < 0.0
-    return True
+    x = as_floats(x)
+    return M.nu * M.psi_floats(x) > 0.0 and _on_branch(M, x)  # False on NaN
+
+
+def _on_branch(M: CanonicalModel, x: list) -> bool:
+    """Does x have the kept branch's sign (True when the domain is whole)?"""
+    side = M._kept_side
+    return side is None or side[1] * x[side[0]] > 0.0
 
 
 def chord_quadratic(M: CanonicalModel, a, e) -> tuple:
     """(q(e), 2 (a.e)_q, psi(a)): psi(a + s e) = A s^2 + B s + C.  Refuses
     with DomainError when one overflows, as no chord answer is then exact."""
-    coeffs = (M.sig.q(e), 2.0 * M.sig.dot(a, e), M.psi(a))
+    a, e = as_floats(a), as_floats(e)
+    coeffs = (M.sig.q_floats(e), 2.0 * M.sig.dot_floats(a, e), M.psi_floats(a))
     if not all(map(math.isfinite, coeffs)):
-        raise DomainError(f"psi along the chord {a} + s {e} overflows: {coeffs}")
+        raise DomainError(f"psi along the chord {np.array(a)} + s {np.array(e)} "
+                          f"overflows: {coeffs}")
     return coeffs
+
+
+def _min(a: float, b: float) -> float:
+    """min(a, b), NaN if either is NaN (Python's min drops a NaN b)."""
+    return b if b < a or b != b else a
 
 
 def segment_margin(M: CanonicalModel, a, b) -> float:
@@ -167,23 +187,24 @@ def segment_margin(M: CanonicalModel, a, b) -> float:
     nu psi > 0 stays on the branch of its start, and contains(M, a) settles
     the branch.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = as_floats(a), as_floats(b)
     if not contains(M, a):
         return -math.inf
-    e = b - a
+    e = [y - x for x, y in zip(a, b)]
     A, B, C = chord_quadratic(M, a, e)
-    margin = min(M.nu * C, M.nu * M.psi(b))
+    margin = _min(M.nu * C, M.nu * M.psi_floats(b))
     if M.nu * A > 0.0:
         s = -0.5 * B / A
         if 0.0 < s < 1.0:
-            margin = min(margin, M.nu * M.psi(a + s * e))
+            vertex = [x + s * y for x, y in zip(a, e)]
+            margin = _min(margin, M.nu * M.psi_floats(vertex))
     return margin
 
 
 def arc_margin(M: CanonicalModel, c0, c1, theta0: float, theta1: float) -> float:
     """Exact minimum of nu psi over C(theta) c0 + S(theta) c1, theta between
-    theta0 and theta1; -inf if the start is outside M (see segment_margin).
+    theta0 and theta1; -inf if the start is outside M (see segment_margin),
+    judged by nu psi there and the branch sign of its coordinates.
 
     (C, S) = (cosh, sinh) if q(c0) q(c1) < 0 (a mixed plane), else (cos, sin),
     and psi = alpha + beta C(2 theta) + gamma S(2 theta), gamma = (c0.c1)_q.
@@ -191,27 +212,33 @@ def arc_margin(M: CanonicalModel, c0, c1, theta0: float, theta1: float) -> float
     hyperbolic one only when |gamma| < |beta| and nu beta > 0, to
     nu alpha + sqrt(beta^2 - gamma^2) at tanh(2 theta) = -gamma/beta.
     """
-    c0 = np.asarray(c0, dtype=float)
-    c1 = np.asarray(c1, dtype=float)
-    q0, q1, gamma = M.sig.q(c0), M.sig.q(c1), M.sig.dot(c0, c1)
+    c0, c1 = as_floats(c0), as_floats(c1)
+    q0, q1 = M.sig.q_floats(c0), M.sig.q_floats(c1)
+    gamma = M.sig.dot_floats(c0, c1)
     hyp = q0 * q1 < 0.0
     C, S = (math.cosh, math.sinh) if hyp else (math.cos, math.sin)
-    ends = [C(t) * c0 + S(t) * c1 for t in (theta0, theta1)]
-    if not contains(M, ends[0]):
-        return -math.inf
     nu, lo, hi = M.nu, min(theta0, theta1), max(theta0, theta1)
-    margin = min(nu * M.psi(x) for x in ends)
     alpha = M.lam + 0.5 * (q0 - q1 if hyp else q0 + q1)
     beta = 0.5 * (q0 + q1 if hyp else q0 - q1)
+    # nu psi at the ends from the closed form: q of a point far along a
+    # hyperbola cancels C^2 against S^2 and keeps no digit.  A NaN (an
+    # overflow) at either end refuses the arc in both directions.
+    start, end = (nu * (alpha + beta * C(2.0 * t) + gamma * S(2.0 * t))
+                  for t in (theta0, theta1))
+    ct, st = C(theta0), S(theta0)
+    first = [ct * x + st * y for x, y in zip(c0, c1)]
+    if not (start > 0.0 and _on_branch(M, first)):
+        return -math.inf
+    margin = _min(start, end)
     if hyp and abs(gamma) < abs(beta) and nu * beta > 0.0:
         g = gamma / beta
         if lo < 0.5 * math.atanh(-g) < hi:
-            margin = min(margin, nu * alpha + abs(beta) * math.sqrt(1.0 - g * g))
+            margin = _min(margin, nu * alpha + abs(beta) * math.sqrt(1.0 - g * g))
     elif not hyp and (beta or gamma):
         # nu psi = nu alpha + nu hypot(beta, gamma) cos(2 theta - phi)
         t = 0.5 * (math.atan2(gamma, beta) + (math.pi if nu > 0 else 0.0))
         if t + math.pi * math.ceil((lo - t) / math.pi) <= hi:
-            margin = min(margin, nu * alpha - math.hypot(beta, gamma))
+            margin = _min(margin, nu * alpha - math.hypot(beta, gamma))
     return margin
 
 

@@ -185,10 +185,6 @@ class QuadraticFunction:
         object.__setattr__(self, "lin", lin)
         object.__setattr__(self, "gram", 0.5 * (gram + gram.T))
 
-    @classmethod
-    def on_signature(cls, sig: Signature, Q, lin, const) -> "QuadraticFunction":
-        return cls(Q, lin, const, np.diag(sig.eps))
-
     @property
     def dim(self) -> int:
         return self.Q.shape[0]
@@ -222,10 +218,6 @@ class ProjectiveMap:
         H[d, :d] = np.asarray(c, dtype=float)
         H[d, d] = c0
         return cls(H)
-
-    @classmethod
-    def from_affine(cls, f: AffineMap) -> "ProjectiveMap":
-        return cls.from_parts(f.linear, f.translation, np.zeros(f.d), 1.0)
 
     @property
     def d(self) -> int:

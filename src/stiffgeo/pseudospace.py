@@ -27,7 +27,28 @@ __all__ = [
     "inf_rotation_J",
     "infinitesimal_kind",
     "complete_orthonormal",
+    "as_floats",
+    "norm2",
 ]
+
+
+def as_floats(x) -> list:
+    """The vector x as a list of Python floats."""
+    if type(x) is list:
+        return [float(v) for v in x]
+    if type(x) is not np.ndarray or x.dtype != np.float64:
+        x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"expected a vector, got an array of shape {x.shape}")
+    return x.tolist()
+
+
+def norm2(xs: list) -> float:
+    """Euclidean x.x of a list of Python floats, summed as q_floats sums."""
+    s = 0.0
+    for v in xs:
+        s += v * v
+    return s
 
 
 @dataclass(frozen=True)
@@ -53,16 +74,40 @@ class Signature:
         e.setflags(write=False)
         return e
 
+    @cached_property
+    def signs(self) -> tuple:
+        """eps as a tuple of Python floats, for the scalar paths."""
+        return (1.0,) * self.p + (-1.0,) * self.m
+
     def q(self, x) -> float:
         """Quadratic form q(x) = sum eps_i x_i^2."""
-        x = np.asarray(x, dtype=float)
-        return float(np.dot(self.eps, x * x))
+        return self.q_floats(as_floats(x))
 
     def dot(self, x, y) -> float:
         """Scalar product x.y = sum eps_i x_i y_i."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return float(np.dot(self.eps, x * y))
+        return self.dot_floats(as_floats(x), as_floats(y))
+
+    def q_floats(self, xs: list) -> float:
+        """q of a list of Python floats, summed left to right as np.dot sums
+        short vectors; an overflow gives inf or NaN, with no warning."""
+        signs = self.signs
+        if len(xs) != len(signs):
+            raise ValueError(f"vector of length {len(xs)} for signature {self}")
+        s = 0.0
+        for e, v in zip(signs, xs):
+            s += e * (v * v)
+        return s
+
+    def dot_floats(self, xs: list, ys: list) -> float:
+        """x.y of two lists of Python floats (see q_floats)."""
+        signs = self.signs
+        if not len(xs) == len(ys) == len(signs):
+            raise ValueError(f"vectors of length {len(xs)} and {len(ys)} "
+                             f"for signature {self}")
+        s = 0.0
+        for e, v, w in zip(signs, xs, ys):
+            s += e * (v * w)
+        return s
 
     def is_null(self, x, tol: float = 1e-12) -> bool:
         """Light cone membership, |q(x)| <= tol * max(1, |x|^2)."""

@@ -3,21 +3,24 @@
 General ODE transport along paths, the three closed forms (rays through the
 origin, light-cone rays, equipotential arcs), loop holonomies and the
 infinitesimal holonomy endomorphisms.  Moving-frame matrices and their ambient
-conjugates are both exposed because they live in different bases.
+conjugates are both exposed because they live in different bases.  The
+closed forms compute the ambient matrix on Python floats, as a low-rank update
+of the identity, and build their frames only when one is read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import kernels
 from .errors import DomainError
 from .models import CanonicalModel, arc_margin, contains, segment_margin
-from .pseudospace import complete_orthonormal, inf_rotation_J
+from .pseudospace import as_floats, complete_orthonormal, inf_rotation_J, norm2
 
 # refuse paths that come closer to the boundary than this; Gamma ~ 1/psi
 REFUSE_PSI = 1e-9
@@ -131,7 +134,8 @@ class TransportMap:
 
     matrix acts on ambient canonical coordinates.  For the closed forms the
     in-frame matrix and the start/end frames (columns = frame vectors) are
-    kept as well, since the two are expressed in different bases.
+    kept as well, since the two are expressed in different bases.  The frames
+    come from frame_builder, which runs the first time one of them is read.
     """
 
     matrix: np.ndarray
@@ -139,10 +143,24 @@ class TransportMap:
     to_point: np.ndarray
     method: str  # "ODE" | "ClosedForm"
     est_error: float
-    frame: Optional[np.ndarray] = None
-    frame_to: Optional[np.ndarray] = None
     moving_matrix: Optional[np.ndarray] = None
     note: str = ""
+    frame_builder: Optional[Callable[[], tuple]] = field(
+        default=None, repr=False, compare=False)
+
+    @cached_property
+    def _frames(self) -> tuple:
+        if self.frame_builder is None:
+            return None, None
+        return self.frame_builder()
+
+    @property
+    def frame(self) -> Optional[np.ndarray]:
+        return self._frames[0]
+
+    @property
+    def frame_to(self) -> Optional[np.ndarray]:
+        return self._frames[1]
 
     def apply(self, v) -> np.ndarray:
         return self.matrix @ np.asarray(v, dtype=float)
@@ -171,10 +189,11 @@ class TransportMap:
 
 @dataclass(frozen=True)
 class CharacteristicFrequency:
-    """omega with omega^2 = eps*(q(gamma)-lambda)/(q(gamma)+lambda)."""
+    """omega with omega^2 = s = eps*(q(gamma)-lambda)/(q(gamma)+lambda)."""
 
     omega: complex
     regime: str  # "Real" | "Imaginary" | "Zero"
+    s: float     # as computed; the Zero regime keeps its rounding residue
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +291,32 @@ def transport_ode(model: CanonicalModel, path: PathSpec,
 # closed form: rays through the origin
 
 
-def _check_ray(model: CanonicalModel, ray: RaySegment) -> None:
-    ee = float(ray.e_r @ ray.e_r)
+def _check_ray(model: CanonicalModel, ray: RaySegment) -> tuple:
+    """Guard the ray; return e_r, q(e_r), the start and the end, on floats."""
+    e = as_floats(ray.e_r)
+    ee = norm2(e)
     if ee == 0.0:
         raise ValueError("ray direction e_r must be nonzero")
-    if abs(model.sig.q(ray.e_r)) < 1e-12 * ee:
+    qe = model.sig.q_floats(e)
+    if abs(qe) < 1e-12 * ee:
         raise DomainError("ray closed form needs q(e_r) != 0; "
                           "use transport_lightcone for null rays")
-    _guard(model, segment_margin(model, ray.start, ray.end), "ray segment")
+    start = [ray.t0 * v for v in e]
+    end = [ray.t1 * v for v in e]
+    _guard(model, segment_margin(model, start, end), "ray segment")
+    return e, qe, start, end
+
+
+def _overflow(what: str) -> DomainError:
+    return DomainError(f"transport along the {what} runs past the "
+                       "floating-point range")
+
+
+def _finite_matrix(rows: list, what: str) -> np.ndarray:
+    """rows as an array; DomainError if an entry overflowed."""
+    if not all(math.isfinite(v) for row in rows for v in row):
+        raise _overflow(what)
+    return np.array(rows)
 
 
 def transport_ray(model: CanonicalModel, e_r, t0: float, t1: float) -> TransportMap:
@@ -287,27 +324,38 @@ def transport_ray(model: CanonicalModel, e_r, t0: float, t1: float) -> Transport
 
     In a q-orthonormal frame with e_r first the matrix is
     Diag(Lambda^2, Lambda, ..., Lambda) with Lambda = psi(end)/psi(start).
+    In ambient coordinates that is Lambda I plus Lambda (Lambda - 1) times
+    the q-projector e_r (G e_r)^T / q(e_r) onto the ray, G = diag(eps).
     """
     ray = RaySegment(e_r, t0, t1)
-    _check_ray(model, ray)
+    e, qe, start, end = _check_ray(model, ray)
     sig = model.sig
-    qe = sig.q(ray.e_r)
-    unit = ray.e_r / math.sqrt(abs(qe))
-    frame = complete_orthonormal(sig, [unit])
-    lam_ratio = model.psi(ray.end) / model.psi(ray.start)
-    moving = np.diag([lam_ratio**2] + [lam_ratio] * (sig.d - 1))
-    matrix = frame @ moving @ np.linalg.inv(frame)
+    lam_ratio = model.psi_floats(end) / model.psi_floats(start)
+    lam2 = lam_ratio * lam_ratio
+    if not math.isfinite(lam2):
+        raise _overflow("ray")
+    c = lam_ratio * (lam_ratio - 1.0) / qe
+    ge = [g * v for g, v in zip(sig.signs, e)]
+    rows = [[c * x * y for y in ge] for x in e]
+    for i, row in enumerate(rows):
+        row[i] += lam_ratio
+    matrix = _finite_matrix(rows, "ray")
     return TransportMap(
         matrix=matrix,
-        from_point=ray.start,
-        to_point=ray.end,
+        from_point=np.array(start),
+        to_point=np.array(end),
         method="ClosedForm",
-        est_error=1e-14 * max(1.0, abs(lam_ratio) ** 2),
-        frame=frame,
-        frame_to=frame,
-        moving_matrix=moving,
+        est_error=1e-14 * max(1.0, lam2),
+        moving_matrix=np.diag([lam2] + [lam_ratio] * (sig.d - 1)),
         note="frame: e_r first, then q-orthonormal complement",
+        frame_builder=partial(_ray_frames, sig, ray.e_r / math.sqrt(abs(qe))),
     )
+
+
+def _ray_frames(sig, unit: np.ndarray) -> tuple:
+    """The ray's frame (unit e_r first), at both ends."""
+    frame = complete_orthonormal(sig, [unit])
+    return frame, frame
 
 
 def transport_lightcone(model: CanonicalModel, e_r, f0: float, f1: float,
@@ -347,10 +395,12 @@ def characteristic_frequency(model: CanonicalModel, q_gamma: float,
         raise DomainError("q(gamma) = 0: arc degenerates to the light cone")
     s = eps * (q_gamma - lam) / (q_gamma + lam)
     if abs(q_gamma - lam) < 1e-14 * max(abs(q_gamma), abs(lam), 1.0):
-        return CharacteristicFrequency(omega=0j, regime="Zero")
+        return CharacteristicFrequency(omega=0j, regime="Zero", s=s)
     if s > 0:
-        return CharacteristicFrequency(omega=complex(math.sqrt(s), 0.0), regime="Real")
-    return CharacteristicFrequency(omega=complex(0.0, math.sqrt(-s)), regime="Imaginary")
+        return CharacteristicFrequency(omega=complex(math.sqrt(s), 0.0),
+                                       regime="Real", s=s)
+    return CharacteristicFrequency(omega=complex(0.0, math.sqrt(-s)),
+                                   regime="Imaginary", s=s)
 
 
 def _cosh_like(s: float, t: float) -> float:
@@ -390,35 +440,40 @@ def oscillator_matrix(s: float, eps: int, t: float) -> np.ndarray:
 
 def _arc_data(model: CanonicalModel, arc: Arc) -> dict:
     sig = model.sig
-    qu = sig.q(arc.u)
-    qw = sig.q(arc.w)
+    u, w = as_floats(arc.u), as_floats(arc.w)
+    qu = sig.q_floats(u)
+    qw = sig.q_floats(w)
     if abs(abs(qu) - 1.0) > 1e-9 or abs(abs(qw) - 1.0) > 1e-9:
         raise ValueError("arc plane vectors must be q-unit")
-    if abs(sig.dot(arc.u, arc.w)) > 1e-9:
+    if abs(sig.dot_floats(u, w)) > 1e-9:
         raise ValueError("arc plane vectors must be q-orthogonal")
     eps_pm = int(round(qu * qw))
-    c0 = arc.r * arc.u
-    c1 = arc.r * arc.w
-    kind = kernels.PATH_TRIG if eps_pm > 0 else kernels.PATH_HYP
-    if eps_pm > 0:
-        pnt = lambda th: math.cos(th) * c0 + math.sin(th) * c1
-    else:
-        pnt = lambda th: math.cosh(th) * c0 + math.sinh(th) * c1
+    r = arc.r
+    c0 = [r * v for v in u]
+    c1 = [r * v for v in w]
     try:
         margin = arc_margin(model, c0, c1, arc.theta0, arc.theta1)
     except OverflowError:
         raise DomainError(f"arc from theta = {arc.theta0} to {arc.theta1} runs "
                           "past the floating-point range") from None
     _guard(model, margin, "arc")
+    C, S = (math.cos, math.sin) if eps_pm > 0 else (math.cosh, math.sinh)
+
+    def point(th: float) -> np.ndarray:
+        ct, st = C(th), S(th)
+        return np.array([ct * x + st * y for x, y in zip(c0, c1)])
+
     return {
-        "kind": kind,
+        "kind": kernels.PATH_TRIG if eps_pm > 0 else kernels.PATH_HYP,
+        "u": u,
+        "w": w,
         "c0": c0,
         "c1": c1,
         "eps_pm": eps_pm,
-        "q_gamma": arc.r**2 * qu,
-        "point": pnt,
-        "start": pnt(arc.theta0),
-        "end": pnt(arc.theta1),
+        "q_gamma": r * r * qu,
+        "signs": (math.copysign(1.0, qu), math.copysign(1.0, qw)),
+        "start": point(arc.theta0),
+        "end": point(arc.theta1),
     }
 
 
@@ -432,9 +487,8 @@ def path_arc(model: CanonicalModel, plane, r: float, theta0: float,
         # canonical index pair, 1-based, i < j fixes the positive orientation
         if not (1 <= i < j <= model.sig.d):
             raise ValueError("plane indices must satisfy 1 <= i < j <= d")
-        d = model.sig.d
-        u = np.eye(d)[i - 1]
-        w = np.eye(d)[j - 1]
+        u, w = np.zeros(model.sig.d), np.zeros(model.sig.d)
+        u[i - 1] = w[j - 1] = 1.0
         return Arc(u, w, r, theta0, theta1)
     u, w = plane
     return Arc(u, w, r, theta0, theta1)
@@ -445,52 +499,74 @@ def transport_arc(model: CanonicalModel, plane, r: float, theta0: float,
     """Closed-form transport along an equipotential arc.
 
     plane: canonical index pair (i, j) with i < j, or a q-orthonormal vector
-    pair (u, w).  The in-plane part is the oscillator matrix in the moving
+    pair (u, w).  The in-plane part is the oscillator matrix M2 in the moving
     frame (e_r, e_theta); the q-orthocomplement of the plane is preserved
-    pointwise.
+    pointwise.  With A(theta) = [g/r, g'/r] (d x 2) and D = diag(q(u), q(w)),
+    the frame is q-orthonormal, so its inverse is D A^T G on the plane and
+    the complement cancels: M = I - P + A(theta1) M2 D A(theta0)^T G, where
+    P = A D A^T G is the q-projector onto the plane, the same at every theta.
+    It is taken at A = [u, w], whose entries are O(1): at a far theta0 the
+    entries of A(theta0) D A(theta0)^T G carry errors of eps |A(theta0)|^2.
     """
     arc = path_arc(model, plane, r, theta0, theta1)
     data = _arc_data(model, arc)
     sig = model.sig
     d = sig.d
     eps_pm = data["eps_pm"]
-    s = characteristic_frequency(model, data["q_gamma"], eps_pm)
-    s_val = eps_pm * (data["q_gamma"] - model.lam) / (data["q_gamma"] + model.lam)
+    freq = characteristic_frequency(model, data["q_gamma"], eps_pm)
     t = arc.theta1 - arc.theta0
     try:
-        M2 = oscillator_matrix(s_val, eps_pm, t)
+        M2 = oscillator_matrix(freq.s, eps_pm, t)
     except OverflowError:
-        raise DomainError("transport along the arc runs past the "
-                          "floating-point range") from None
+        raise _overflow("arc") from None
+    (m00, m01), (m10, m11) = M2.tolist()
+    c0, c1, r = data["c0"], data["c1"], arc.r
+    trig = eps_pm > 0
+
+    def columns(th: float) -> tuple:
+        """g/r and g'/r at theta, as lists of floats."""
+        ct, st = (math.cos(th), math.sin(th)) if trig else (math.cosh(th), math.sinh(th))
+        dc = -st if trig else st
+        return ([(ct * x + st * y) / r for x, y in zip(c0, c1)],
+                [(dc * x + ct * y) / r for x, y in zip(c0, c1)])
+
+    a0, b0 = columns(arc.theta0)
+    a1, b1 = columns(arc.theta1)
+    # the columns of A(theta1) M2, and the rows of D A^T G at theta0 and at
+    # A = [u, w]
+    p = [m00 * x + m10 * y for x, y in zip(a1, b1)]
+    pp = [m01 * x + m11 * y for x, y in zip(a1, b1)]
+    du, dw = data["signs"]
+    u, w = data["u"], data["w"]
+    ra, rb, ru, rw = ([dd * g * x for g, x in zip(sig.signs, col)]
+                      for dd, col in ((du, a0), (dw, b0), (du, u), (dw, w)))
+    rows = []
+    for i in range(d):
+        # (I - P) first: on a coordinate plane it is exactly 0 inside the
+        # plane, so there the answer is the product term alone
+        ip = [-(u[i] * ru[j] + w[i] * rw[j]) for j in range(d)]
+        ip[i] += 1.0
+        rows.append([y + (p[i] * ra[j] + pp[i] * rb[j]) for j, y in enumerate(ip)])
+    matrix = _finite_matrix(rows, "arc")
     moving = np.eye(d)
     moving[:2, :2] = M2
-
-    comp = complete_orthonormal(sig, [arc.u, arc.w])[:, 2:]
-
-    def frame_at(theta: float) -> np.ndarray:
-        g = data["point"](theta)
-        if eps_pm > 0:
-            dg = -math.sin(theta) * data["c0"] + math.cos(theta) * data["c1"]
-        else:
-            dg = math.sinh(theta) * data["c0"] + math.cosh(theta) * data["c1"]
-        cols = [g / arc.r, dg / arc.r]
-        return np.column_stack([*cols, comp]) if d > 2 else np.column_stack(cols)
-
-    F0 = frame_at(arc.theta0)
-    F1 = frame_at(arc.theta1)
-    matrix = F1 @ moving @ np.linalg.inv(F0)
     return TransportMap(
         matrix=matrix,
         from_point=data["start"],
         to_point=data["end"],
         method="ClosedForm",
         est_error=1e-13 * max(1.0, float(np.abs(M2).max())),
-        frame=F0,
-        frame_to=F1,
         moving_matrix=moving,
-        note=f"moving frame (e_r, e_theta); omega regime {s.regime}; "
+        note=f"moving frame (e_r, e_theta); omega regime {freq.regime}; "
              "increasing theta rotates u toward w",
+        frame_builder=partial(_arc_frames, sig, arc, (a0, b0), (a1, b1)),
     )
+
+
+def _arc_frames(sig, arc: Arc, cols0: tuple, cols1: tuple) -> tuple:
+    """The frames (g/r, g'/r, q-orthonormal complement) at the arc's ends."""
+    comp = complete_orthonormal(sig, [arc.u, arc.w])[:, 2:]
+    return (np.column_stack([*cols0, comp]), np.column_stack([*cols1, comp]))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -310,12 +311,36 @@ def test_exit_code_domain_error(capsys):
                   "--dir", "1e300,0"],
                  # the time itself overflows
                  ["travel-time", "--model", "S(2,0;-1;-)", "--from", "0,0",
-                  "--to", "0.9,0", "--alpha", "1e308"]):
-        code, out, err = _invoke(capsys, argv)
-        assert code == 2
+                  "--to", "0.9,0", "--alpha", "1e308"],
+                 # psi at theta = 400 overflows to NaN: one verdict both ways
+                 ["transport", "--model", "S(1,1;1;+)", "--arc-plane", "1,2",
+                  "--theta1", "400"],
+                 ["transport", "--model", "S(1,1;1;+)", "--arc-plane", "1,2",
+                  "--theta0", "400", "--theta1", "0"],
+                 # Lambda^2 = psi(end)^2 / psi(start)^2 overflows
+                 ["transport", "--model", "S(2,0;1;+)", "--ray", "1,0",
+                  "--t0", "0", "--t1", "1e150"]):
+        # a warning would reach stderr ahead of the payload
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = _invoke(capsys, argv)
+        assert code == 2, argv
+        assert err == "" and caught == [], argv
         payload = _strict_loads(out)
         assert payload["error"]["type"] == "domain"
         assert payload["schema"] == "stiffgeo/1"
+
+
+def test_reversed_long_hyperbolic_arc_is_answered(capsys):
+    """The arc from theta = 20 back to 0 inverts no frame, so it is answered
+    like the arc from 0 to 20."""
+    for thetas in (["--theta0", "20", "--theta1", "0"], ["--theta1", "20"]):
+        code, out, err = _invoke(capsys, [
+            "transport", "--model", "S(1,1;1;+)", "--arc-plane", "1,2", *thetas])
+        assert code == 0 and err == ""
+        payload = _strict_loads(out)
+        assert payload["method"] == "ClosedForm"
+        assert all(math.isfinite(v) for row in payload["matrix"] for v in row)
 
 
 def test_exit_code_zero_ray_direction(capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stiffgeo import kernels
+from stiffgeo import transport as transport_module
 from stiffgeo.errors import DomainError
 from stiffgeo.models import (arc_margin, contains, interior_point, parse_model,
                              segment_margin)
@@ -374,6 +375,148 @@ def test_arc_guards():
         transport_arc(DISK, (2, 1), 0.4, 0.0, 1.0)   # needs i < j
     with pytest.raises(DomainError):
         transport_arc(DISK, (1, 2), 1.5, 0.0, 1.0)   # outside the disk
+
+
+def test_far_hyperbolic_arcs_get_one_verdict_both_ways():
+    """Far along a hyperbola q of the point keeps no digit (cosh and sinh of
+    theta >= 20 are equal doubles), so the arc guard takes psi at the ends
+    from its closed form.  Each arc gets one verdict in both directions."""
+    # psi = 2 along the arc, which cosh(800) takes past the float range
+    model = parse_model("S(1,1;1;+)")
+    for th0, th1 in ((0.0, 400.0), (400.0, 0.0)):
+        with pytest.raises(DomainError):
+            transport_arc(model, (1, 2), 1.0, th0, th1)
+    # psi = r^2 - 1 = 3 on the arc of radius 2, where q of the point at
+    # theta = 20 reads 0 and psi -1: inside S(1,1;-1;+) ...
+    model = parse_model("S(1,1;-1;+)")
+    for th0, th1 in ((0.0, 20.0), (20.0, 0.0)):
+        assert arc_margin(model, [2.0, 0.0], [0.0, 2.0], th0, th1) == 3.0
+        assert np.isfinite(transport_arc(model, (1, 2), 2.0, th0, th1).matrix).all()
+    # ... and outside S(1,1;-1;-), which needs psi < 0
+    model = parse_model("S(1,1;-1;-)")
+    for th0, th1 in ((20.0, 25.0), (25.0, 20.0)):
+        assert arc_margin(model, [2.0, 0.0], [0.0, 2.0], th0, th1) == -math.inf
+        with pytest.raises(DomainError):
+            transport_arc(model, (1, 2), 2.0, th0, th1)
+
+
+def test_arc_margin_keeps_a_nan_at_the_far_end():
+    """Python's min(a, nan) is a; the margin must be NaN, which the guard
+    refuses.  Here psi(theta1) is inf - inf, psi(theta0) about 1e300."""
+    model = parse_model("S(1,1;1;+)")
+    margin = arc_margin(model, [1e150, 0.0], [-1e150, 1.0000001e150], 0.0, 11.0)
+    assert math.isnan(margin)
+
+
+# ---------------------------------------------------------------------------
+# frame-free closed forms and the frames they build on demand
+
+
+def _isometry(sig, rng):
+    """A random element of O(p, m): three plane rotations and boosts."""
+    d = sig.d
+    A = np.eye(d)
+    for _ in range(3):
+        i, j = sorted(rng.choice(d, size=2, replace=False))
+        c = rng.uniform(-1.0, 1.0)
+        R = np.eye(d)
+        if sig.eps[i] == sig.eps[j]:
+            R[i, i] = R[j, j] = math.cos(c)
+            R[i, j], R[j, i] = -math.sin(c), math.sin(c)
+        else:
+            R[i, i] = R[j, j] = math.cosh(c)
+            R[i, j] = R[j, i] = math.sinh(c)
+        A = R @ A
+    return A
+
+
+CLOSED_FORMS = {"ray": transport_ray, "arc": transport_arc}
+
+
+def _closed_form_cases(rng, span=3.0, per_model=6):
+    """Seeded (model, kind, args) over the 16 transport models, for
+    CLOSED_FORMS[kind](model, *args): rays, and arcs with
+    |theta1 - theta0| <= span, from u = A e_i toward w = A e_j (i, j in any
+    order), where A is the identity or, for every other arc, a random
+    isometry."""
+    for tag in TRANSPORT_MODELS:
+        model = parse_model(tag)
+        sig, d = model.sig, model.sig.d
+        rays = arcs = 0
+        for _ in range(4000):
+            if rays >= per_model and arcs >= per_model:
+                break
+            if rays < per_model:
+                e = rng.normal(size=d)
+                t0, t1 = rng.uniform(0.05, 2.0, size=2)
+                if (abs(sig.q(e)) >= 0.1 * float(e @ e)
+                        and segment_margin(model, t0 * e, t1 * e) >= 0.05):
+                    yield model, "ray", (e, t0, t1)
+                    rays += 1
+            if arcs < per_model:
+                i, j = rng.choice(d, size=2, replace=False)
+                A = _isometry(sig, rng) if arcs % 2 else np.eye(d)
+                u, w = A[:, i], A[:, j]
+                r = rng.uniform(0.1, 2.0)
+                th0 = rng.uniform(-1.0, 1.0)
+                th1 = th0 + rng.uniform(-span, span)
+                if arc_margin(model, r * u, r * w, th0, th1) >= 0.05:
+                    yield model, "arc", ((u, w), r, th0, th1)
+                    arcs += 1
+        assert rays == arcs == per_model, tag
+
+
+def test_closed_form_matrix_is_the_frame_conjugate():
+    """matrix = frame_to @ moving_matrix @ inv(frame), and the frame is
+    q-orthonormal (F^T G F = diag(+-1)), on rays and arcs in every model."""
+    for model, kind, args in _closed_form_cases(np.random.default_rng(18)):
+        tm = CLOSED_FORMS[kind](model, *args)
+        M, F, F1 = tm.matrix, tm.frame, tm.frame_to
+        want = F1 @ tm.moving_matrix @ np.linalg.inv(F)
+        scale = max(1.0, float(np.abs(M).max()))
+        assert float(np.abs(M - want).max()) <= 1e-12 * scale, (model, kind, args)
+        gram = F.T @ np.diag(model.sig.eps) @ F
+        signs = np.diag(np.round(np.diag(gram)))
+        assert np.all(np.abs(np.diag(signs)) == 1.0)
+        frame_scale = max(1.0, float(np.abs(F).max())) ** 2
+        assert float(np.abs(gram - signs).max()) <= 1e-12 * frame_scale
+
+
+def test_arc_path_reversal_inverts_the_map():
+    """Transport back along the same arc undoes transport along it:
+    M(theta1 -> theta0) M(theta0 -> theta1) = I, up to rounding in entries
+    as large as the product of the two matrices' largest."""
+    def check(model, plane, r, th0, th1):
+        fwd = transport_arc(model, plane, r, th0, th1).matrix
+        rev = transport_arc(model, plane, r, th1, th0).matrix
+        bound = 1e-12 * float(np.abs(fwd).max()) * float(np.abs(rev).max())
+        dev = float(np.abs(rev @ fwd - np.eye(model.sig.d)).max())
+        assert dev <= bound, (model, plane, r, th0, th1, dev)
+
+    check(parse_model("S(1,1;1;+)"), (1, 2), 1.0, 0.0, 5.0)
+    for model, kind, args in _closed_form_cases(np.random.default_rng(5),
+                                                span=5.0, per_model=4):
+        if kind == "arc":
+            check(model, *args)
+
+
+def test_closed_forms_build_no_frame_for_the_matrix(monkeypatch):
+    """Only reading frame or frame_to builds a frame."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("frame built for a matrix-only request")
+
+    monkeypatch.setattr(transport_module, "complete_orthonormal", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    for tag in ("S(2,0;-1;-)", "S(1,1;1;+)", "S(2,1;1;+)"):
+        model = parse_model(tag)
+        e = np.zeros(model.sig.d)
+        e[0] = 1.0
+        assert transport_ray(model, e, 0.2, 0.6).matrix.shape == (model.sig.d,) * 2
+        arc = transport_arc(model, (1, 2), 0.5 if tag == "S(2,0;-1;-)" else 1.5,
+                            0.0, 1.0)
+        assert np.isfinite(arc.matrix).all()
+    with pytest.raises(AssertionError, match="frame built"):
+        arc.frame
 
 
 # ---------------------------------------------------------------------------
