@@ -12,6 +12,7 @@ triangle-inequality experiment.  reduce_line names the normal form of psi
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import DomainError
 from .models import (CanonicalModel, chord_quadratic, contains, interior_point,
                      parse_model)
-from .pseudospace import as_floats, norm2
+from .pseudospace import as_floats
 
 C1_CONSTANT = "C1_Constant"
 C2_SINGLE_POLE = "C2_SinglePole"
@@ -41,7 +42,7 @@ class GeodesicLine:
         e = np.asarray(e, dtype=float)
         if not contains(model, x0):
             raise DomainError(f"base point {x0} outside model {model}")
-        if norm2(as_floats(e)) == 0.0:
+        if not any(as_floats(e)):
             raise ValueError("direction must be nonzero")
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "x0", x0)
@@ -49,10 +50,30 @@ class GeodesicLine:
 
     def psi_coeffs(self) -> Tuple[float, float, float]:
         """psi_s(s) = A s^2 + B s + C along the line."""
-        return chord_quadratic(self.model, self.x0, self.e)
+        return _chord_quadratic(self.model, self.x0, self.e)
 
     def point(self, s: float) -> np.ndarray:
         return self.x0 + s * self.e
+
+
+def _chord_quadratic(model: CanonicalModel, a, e) -> Tuple[float, float, float]:
+    """models.chord_quadratic, refused with DomainError where A or B lies
+    below the normal range after a product of nonzero factors in it
+    underflowed: a nonzero e would read as null (A == 0) or as orthogonal to
+    a (B == 0), and no chord answer is then exact.  Above that range an
+    underflowed product is below A's or B's own rounding."""
+    A, B, C = coeffs = chord_quadratic(model, a, e)
+    if ((abs(A) < sys.float_info.min and _underflows(e, e))
+            or (abs(B) < sys.float_info.min and _underflows(a, e))):
+        raise DomainError(f"psi along the chord {np.array(a)} + s {np.array(e)} "
+                          f"underflows: {coeffs}")
+    return coeffs
+
+
+def _underflows(xs: list, ys: list) -> bool:
+    """Is some product x*y of nonzero factors below the normal float range?"""
+    return any(x and y and abs(x * y) < sys.float_info.min
+               for x, y in zip(as_floats(xs), as_floats(ys)))
 
 
 @dataclass(frozen=True)
@@ -85,30 +106,31 @@ class GeodesicCase:
 
 def reduce_line(line: GeodesicLine) -> GeodesicCase:
     """Classify psi along the line and compute the affine normalization."""
-    A, B, C = line.psi_coeffs()
-    mag = max(abs(A), abs(B), abs(C))
-    # C = psi(x0) != 0 in the domain, so psi_s is never the zero polynomial
-    if mag == 0.0:
-        raise AssertionError("psi vanishes along the line; point outside domain")
-    if abs(A) <= 1e-14 * mag:
-        if abs(B) <= 1e-14 * mag:
+    return _normal_form(*line.psi_coeffs())
+
+
+def _normal_form(A: float, B: float, C: float) -> GeodesicCase:
+    """The normal form of psi(s) = A s^2 + B s + C, picked by the exact signs
+    of A, B and delta = 4AC - B^2, the quadratic and discriminant the solve
+    uses; C = psi(x0) != 0 in the domain."""
+    if A == 0.0:
+        if B == 0.0:
             return GeodesicCase(C1_CONSTANT, 1.0, 0.0, abs(C), C < 0)
         sgn = 1.0 if B > 0 else -1.0
         return GeodesicCase(C2_SINGLE_POLE, sgn, C / abs(B), abs(B), False)
     flipped = A < 0
     if flipped:
         A, B, C = -A, -B, -C
-    disc = B * B - 4.0 * A * C
-    disc_scale = max(B * B, abs(4.0 * A * C))
+    delta = 4.0 * A * C - B * B
     s_mid = -B / (2.0 * A)
-    if abs(disc) <= 1e-12 * disc_scale:
+    if delta == 0.0:
         return GeodesicCase(C4_DOUBLE_POLE, 1.0, -s_mid, A, flipped,
                             lambda_prime=0)
-    rho = math.sqrt(abs(disc)) / (2.0 * A)
+    rho = math.sqrt(abs(delta)) / (2.0 * A)
     alpha_r = 1.0 / rho
     beta_r = -s_mid / rho
     scale = A * rho * rho
-    if disc > 0:
+    if delta < 0:
         return GeodesicCase(C3_TWO_POLES, alpha_r, beta_r, scale, flipped,
                             lambda_prime=-1, inside=C < 0)
     return GeodesicCase(C5_NO_POLE, alpha_r, beta_r, scale, flipped,
@@ -280,7 +302,7 @@ def solve_geodesic(line: GeodesicLine, t0: float, s0: float,
     if not contains(line.model, line.point(s0)):
         raise DomainError("initial point outside the model")
     A, B, C = coeffs = line.psi_coeffs()
-    case = reduce_line(line)
+    case = _normal_form(A, B, C)
     # alpha = F'(y0) y'(0) with F' = k/P(y)^2, read at y0 only
     y0 = case.to_y(s0)
     p = case.normal_poly(y0)
@@ -371,7 +393,7 @@ def completeness_verdict(model: CanonicalModel) -> CompletenessVerdict:
 @dataclass(frozen=True)
 class TravelTime:
     time: float
-    regime: str  # "Spacelike" | "Null" | "Crosses"
+    regime: str  # "Spacelike" | "Null"
     note: str = ""
 
 
@@ -379,8 +401,8 @@ def travel_time(model: CanonicalModel, a, b, alpha: float = 1.0) -> TravelTime:
     """Time along the straight chord [a, b] in the isochrone metric h.
 
     T = alpha sqrt|A| J0(0, 1) for the chord's psi(s) = A s^2 + B s + C; null
-    chords carry no information and are flagged.  A chord through psi = 0,
-    where J0 diverges, and a time that overflows are refused.
+    chords (A == 0) carry no information and are flagged.  A chord through
+    psi = 0, where J0 diverges, and a time that overflows are refused.
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"gauge alpha must be finite and positive, got {alpha}")
@@ -389,11 +411,10 @@ def travel_time(model: CanonicalModel, a, b, alpha: float = 1.0) -> TravelTime:
         if not contains(model, p):
             raise DomainError(f"endpoint {np.array(p)} outside model {model}")
     e = [y - x for x, y in zip(a, b)]
-    ee = norm2(e)
-    if ee == 0.0:
+    if not any(e):
         return TravelTime(0.0, "Spacelike", "coincident endpoints")
-    A, B, C = chord_quadratic(model, a, e)
-    if abs(A) <= 1e-14 * ee:
+    A, B, C = _chord_quadratic(model, a, e)
+    if A == 0.0:
         return TravelTime(0.0, "Null",
                           "null chord: the isochrone speed vanishes "
                           "identically, no information")
@@ -429,7 +450,9 @@ def triangle_experiment(s: float) -> TriangleResult:
     a = np.array([s, 0.0])
     b = np.array([0.0, s])
     T_ab = travel_time(_DISK, a, b).time
-    T_sum = travel_time(_DISK, o, a).time + travel_time(_DISK, o, b).time
+    # the legs o-a and o-b have the same chord quadratic (A, B, C) = (s^2, 0,
+    # -1) bit for bit, as x <-> y swaps them, so one travel time serves both
+    T_sum = 2.0 * travel_time(_DISK, o, a).time
     return TriangleResult(s, T_ab, T_sum, T_ab > T_sum)
 
 

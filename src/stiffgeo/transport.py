@@ -193,7 +193,7 @@ class CharacteristicFrequency:
 
     omega: complex
     regime: str  # "Real" | "Imaginary" | "Zero"
-    s: float     # as computed; the Zero regime keeps its rounding residue
+    s: float     # omega^2
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +254,14 @@ def transport_ode(model: CanonicalModel, path: PathSpec,
             err_total += err
         start, end = path.start, path.end
     elif isinstance(path, RaySegment):
-        _check_ray(model, path)
+        # the scaled e and t of _check_ray: the kernel's steps scale by the
+        # same power of two, so its bits change only where a product was
+        # subnormal
+        e, _, t0, t1, _, _ = _check_ray(model, path)
         V, err_total, _ = _refine(
             model,
             kernels.transport_segment(
-                kernels.PATH_LINE, np.zeros(d), path.e_r, path.t0, path.t1,
+                kernels.PATH_LINE, np.zeros(d), e, t0, t1,
                 model.lam, eps, V, rtol=rtol, atol=rtol,
             ),
             "ray transport",
@@ -292,19 +295,26 @@ def transport_ode(model: CanonicalModel, path: PathSpec,
 
 
 def _check_ray(model: CanonicalModel, ray: RaySegment) -> tuple:
-    """Guard the ray; return e_r, q(e_r), the start and the end, on floats."""
+    """Guard the ray; return e, q(e), t0, t1, the start and the end, on
+    floats, with e = 2^k e_r scaled into [0.5, 1) in max norm and t = t_r / 2^k,
+    so that e.e neither underflows nor overflows; the scaling is exact."""
     e = as_floats(ray.e_r)
-    ee = norm2(e)
-    if ee == 0.0:
+    if not any(e):
         raise ValueError("ray direction e_r must be nonzero")
+    k = -math.frexp(max(map(abs, e)))[1]
+    e = [math.ldexp(v, k) for v in e]
+    try:
+        t0, t1 = math.ldexp(ray.t0, -k), math.ldexp(ray.t1, -k)
+    except OverflowError:   # then so would the start or the end
+        raise _overflow("ray") from None
     qe = model.sig.q_floats(e)
-    if abs(qe) < 1e-12 * ee:
+    if abs(qe) < 1e-12 * norm2(e):
         raise DomainError("ray closed form needs q(e_r) != 0; "
                           "use transport_lightcone for null rays")
-    start = [ray.t0 * v for v in e]
-    end = [ray.t1 * v for v in e]
+    start = [t0 * v for v in e]
+    end = [t1 * v for v in e]
     _guard(model, segment_margin(model, start, end), "ray segment")
-    return e, qe, start, end
+    return e, qe, t0, t1, start, end
 
 
 def _overflow(what: str) -> DomainError:
@@ -325,16 +335,20 @@ def transport_ray(model: CanonicalModel, e_r, t0: float, t1: float) -> Transport
     In a q-orthonormal frame with e_r first the matrix is
     Diag(Lambda^2, Lambda, ..., Lambda) with Lambda = psi(end)/psi(start).
     In ambient coordinates that is Lambda I plus Lambda (Lambda - 1) times
-    the q-projector e_r (G e_r)^T / q(e_r) onto the ray, G = diag(eps).
+    the q-projector e_r (G e_r)^T / q(e_r) onto the ray, G = diag(eps).  As
+    psi(t e_r) = q(e_r) t^2 + lambda, Lambda (Lambda - 1) / q(e_r) is taken as
+    Lambda (t1 - t0)(t1 + t0) / psi(start), in which nothing cancels when
+    q(e_r) is small.
     """
     ray = RaySegment(e_r, t0, t1)
-    e, qe, start, end = _check_ray(model, ray)
+    e, qe, t0, t1, start, end = _check_ray(model, ray)
     sig = model.sig
-    lam_ratio = model.psi_floats(end) / model.psi_floats(start)
+    psi0 = model.psi_floats(start)
+    lam_ratio = model.psi_floats(end) / psi0
     lam2 = lam_ratio * lam_ratio
     if not math.isfinite(lam2):
         raise _overflow("ray")
-    c = lam_ratio * (lam_ratio - 1.0) / qe
+    c = lam_ratio * ((t1 - t0) * (t1 + t0)) / psi0
     ge = [g * v for g, v in zip(sig.signs, e)]
     rows = [[c * x * y for y in ge] for x in e]
     for i, row in enumerate(rows):
@@ -348,7 +362,7 @@ def transport_ray(model: CanonicalModel, e_r, t0: float, t1: float) -> Transport
         est_error=1e-14 * max(1.0, lam2),
         moving_matrix=np.diag([lam2] + [lam_ratio] * (sig.d - 1)),
         note="frame: e_r first, then q-orthonormal complement",
-        frame_builder=partial(_ray_frames, sig, ray.e_r / math.sqrt(abs(qe))),
+        frame_builder=partial(_ray_frames, sig, np.array(e) / math.sqrt(abs(qe))),
     )
 
 
@@ -386,15 +400,15 @@ def characteristic_frequency(model: CanonicalModel, q_gamma: float,
                              eps: int) -> CharacteristicFrequency:
     """omega = sqrt(eps (q_gamma - lambda)/(q_gamma + lambda)), Re, Im >= 0.
 
-    eps is -1 for mixed (1,1) planes, +1 for definite planes.
+    eps is -1 for mixed (1,1) planes, +1 for definite planes.  The regime is
+    the exact sign of s; transport_arc's guard has already refused arcs near
+    psi = q_gamma + lambda = 0.
     """
     lam = model.lam
-    if abs(q_gamma + lam) < 1e-14 * max(abs(q_gamma), abs(lam), 1.0):
+    if q_gamma + lam == 0.0:
         raise DomainError("arc lies on the boundary psi = 0")
-    if abs(q_gamma) < 1e-14:
-        raise DomainError("q(gamma) = 0: arc degenerates to the light cone")
     s = eps * (q_gamma - lam) / (q_gamma + lam)
-    if abs(q_gamma - lam) < 1e-14 * max(abs(q_gamma), abs(lam), 1.0):
+    if s == 0.0:
         return CharacteristicFrequency(omega=0j, regime="Zero", s=s)
     if s > 0:
         return CharacteristicFrequency(omega=complex(math.sqrt(s), 0.0),
@@ -509,6 +523,8 @@ def transport_arc(model: CanonicalModel, plane, r: float, theta0: float,
     entries of A(theta0) D A(theta0)^T G carry errors of eps |A(theta0)|^2.
     """
     arc = path_arc(model, plane, r, theta0, theta1)
+    if arc.r == 0.0:
+        raise DomainError("an arc of radius 0 is a point: it has no moving frame")
     data = _arc_data(model, arc)
     sig = model.sig
     d = sig.d

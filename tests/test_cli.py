@@ -385,6 +385,58 @@ def test_exit_code_invalid_numbers(capsys, argv):
     assert err.startswith("error: ")
 
 
+# Every argv whose verdict changed when chord cases and arc regimes came to
+# be decided by exact signs: exit code, a key of the payload (of its "error"
+# object on exit 2) and its value; strings are matched as substrings and
+# numbers to 1e-11 relative.
+CHANGED_VERDICTS = [
+    (["geodesic", "--model", "S(2,0;0;+)", "--from", "1,1e-7", "--dir", "1,0"],
+     0, "case", "C5_NoPole"),   # was C4_DoublePole, with a finite t edge
+    (["geodesic", "--model", "S(2,0;0;+)", "--from", "1,1e-7", "--dir", "1,0"],
+     0, "t_interval", [-1.57268146414e+21, 0.333333333333]),
+    (["travel-time", "--model", "S(1,1;1;+)", "--from", "0,0", "--to",
+      "1,1.000000000000005"], 0, "time", 1.01064592348e-07),   # was Null, 0.0
+    (["transport", "--model", "S(2,0;1;+)", "--arc-plane", "1,2", "--radius",
+      "1e-8", "--theta1", "1"], 0, "note", "regime Imaginary"),   # was exit 2
+    (["holonomy", "--model", "S(2,0;1;+)", "--circle-radius", "1e-8"],
+     0, "det", 1.0),   # was exit 2
+    (["holonomy", "--model", "S(2,0;1;+)", "--circle-radius", "1e-8", "--ode"],
+     0, "kind", "circle"),   # was exit 2
+    (["transport", "--model", "S(2,0;2;+)", "--arc-plane", "1,2", "--radius",
+      "1.4142135623730951", "--theta1", "1"], 0, "note", "regime Real"),   # was Zero
+    (["transport", "--model", "S(2,0;-1;-)", "--ray", "1e-170,0", "--t0", "1e169",
+      "--t1", "5e169"], 0, "det", 0.434788657929),   # was exit 3
+    (["transport", "--model", "S(2,0;-1;-)", "--ray", "1e-170,0", "--t0", "1e169",
+      "--t1", "5e169", "--ode"], 0, "method", "ODE"),   # was exit 3
+    (["geodesic", "--model", "S(2,0;1;+)", "--from", "0,0", "--dir", "1e-200,0"],
+     2, "message", "underflows"),   # was exit 3
+    (["travel-time", "--model", "S(2,0;1;+)", "--from", "1e-170,0", "--to",
+      "3e-170,0"], 2, "message", "underflows"),   # was "coincident endpoints"
+    (["transport", "--model", "S(2,0;1;+)", "--arc-plane", "1,2", "--radius", "0",
+      "--theta1", "1"], 2, "message", "radius 0"),   # was "light cone"
+]
+
+
+@pytest.mark.parametrize("argv,code,key,want", CHANGED_VERDICTS,
+                         ids=[f"{a[0]}-{i}" for i, (a, *_) in enumerate(CHANGED_VERDICTS)])
+def test_changed_verdicts(capsys, argv, code, key, want):
+    got_code, out, err = _invoke(capsys, argv)
+    assert got_code == code and err == ""
+    payload = _strict_loads(out)
+    got = payload["error"][key] if code == 2 else payload[key]
+    if isinstance(want, str):
+        assert want in got
+    else:
+        assert got == pytest.approx(want, rel=1e-11)
+
+
+def test_tiny_circle_holonomy_matches_the_ode(capsys):
+    code, out, _ = _invoke(capsys, ["holonomy", "--model", "S(2,0;1;+)",
+                                    "--circle-radius", "1e-8", "--ode"])
+    assert code == 0
+    assert _strict_loads(out)["ode_deviation"] < 1e-12
+
+
 def test_byte_identical_determinism(capsys):
     outs = []
     for _ in range(2):

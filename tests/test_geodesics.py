@@ -27,7 +27,7 @@ from stiffgeo.geodesics import (
     travel_time,
     triangle_experiment,
 )
-from stiffgeo.models import parse_model, segment_margin
+from stiffgeo.models import contains, parse_model, segment_margin
 from stiffgeo.projconn import form_from_potential
 
 RNG = np.random.default_rng(20260805)
@@ -116,6 +116,82 @@ def test_normal_form_reproduces_psi():
                 want = model.psi(line.point(s))
                 got = sgn * case.scale * case.normal_poly(case.to_y(s))
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the printed case agrees with the solve
+
+
+def _random_lines(n):
+    for tag in ("S(2,0;-1;-)", "S(2,0;-1;+)", "S(2,0;0;+)", "S(1,1;1;+)",
+                "S(1,1;0;-)", "S(1,1;-1;-)", "S(2,1;-1;-)", "S(2,1;0;+)"):
+        model = parse_model(tag)
+        d = model.sig.d
+        for _ in range(n):
+            x0 = RNG.normal(size=d)
+            if contains(model, x0):
+                yield GeodesicLine(model, x0, RNG.normal(size=d))
+
+
+def _constructed_lines():
+    # null directions (c, +-c): A is exactly 0, and B too when x0 is null
+    model = parse_model("S(1,1;1;+)")
+    for x0 in ([0.5, 0.5], [1.0, 0.5], [0.2, -0.7], [-0.3, -0.3]):
+        for c in (1.0, -0.7):
+            yield GeodesicLine(model, x0, [c, c])
+            yield GeodesicLine(model, x0, [c, -c])
+    # A a few ulps from 0: chords next to a null direction
+    for k in (5e-15, 1e-12, 1e-8):
+        yield GeodesicLine(model, [0.0, 0.0], [1.0, 1.0 + k])
+        yield GeodesicLine(model, [0.3, 0.1], [1.0, 1.0 - k])
+    # delta a few ulps either side of 0: a line missing the double root at
+    # the origin by h, or crossing the light cone next to its vertex
+    for h in (1e-7, 1e-5, 3e-3):
+        yield GeodesicLine(parse_model("S(2,0;0;+)"), [1.0, h], [1.0, 0.0])
+        yield GeodesicLine(parse_model("S(1,1;0;+)"), [1.0, h], [1.0, 0.0])
+    # exact double roots: radial lines of lambda = 0 models, where
+    # (A, B, C) = (q, 2q, q) and delta = 4 q q - (2q)^2 is exactly 0
+    for tag in ("S(2,0;0;+)", "S(1,1;0;+)", "S(1,1;0;-)", "S(2,1;0;+)"):
+        model = parse_model(tag)
+        for _ in range(5):
+            x0 = RNG.normal(size=model.sig.d)
+            if contains(model, x0):
+                yield GeodesicLine(model, x0, x0 * RNG.uniform(0.1, 3.0))
+
+
+def test_printed_case_agrees_with_the_solve():
+    """C1/C2 exactly when A == 0, C3 when psi has two roots, C4 when
+    delta == 0 (with an infinite t edge on the side of the root), C5 when
+    A != 0 and psi has none: the case names the quadratic the solve used."""
+    lines = list(_random_lines(40)) + list(_constructed_lines())
+    seen = set()
+    for line in lines:
+        sol = solve_geodesic(line, 0.0, 0.0, 1.0)
+        A, B, C = sol.coeffs
+        case = sol.case
+        seen.add(case.case)
+        assert case == reduce_line(line)
+        assert (A == 0.0) == (case.case in (C1_CONSTANT, C2_SINGLE_POLE))
+        assert (A != 0.0 and 4.0 * A * C - B * B == 0.0) == (case.case == C4_DOUBLE_POLE)
+        # the finite edges of s_interval are the roots of psi next to s0 = 0,
+        # reached only in infinite time; an infinite edge is reached in
+        # finite time unless psi is constant
+        roots = [edge for edge in sol.s_interval if math.isfinite(edge)]
+        assert len(roots) == {C1_CONSTANT: 0, C2_SINGLE_POLE: 1, C4_DOUBLE_POLE: 1,
+                              C5_NO_POLE: 0}.get(case.case, 1 + bool(case.inside))
+        for edge, t_edge in zip(sol.s_interval, sol.t_interval):
+            if math.isfinite(edge):
+                size = abs(A) * edge * edge + abs(B * edge) + abs(C)
+                assert abs((A * edge + B) * edge + C) <= 1e-12 * size
+                assert math.isinf(t_edge)
+            else:
+                assert math.isfinite(t_edge) or case.case == C1_CONSTANT
+        # y = 0 is C2's and C4's root and the midpoint of C3's two: one of
+        # them lies on its side of s0
+        if len(roots) == 1:
+            assert (roots[0] < 0.0) == (-case.beta_r / case.alpha_r < 0.0)
+    assert seen == {C1_CONSTANT, C2_SINGLE_POLE, C3_TWO_POLES, C4_DOUBLE_POLE,
+                    C5_NO_POLE}
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +697,38 @@ def test_travel_time_null_chord():
     assert t.time == 0.0
 
 
+def test_near_null_chord_is_timed_not_flagged():
+    """A = 1 - 1.000000000000005^2 = -1.02e-14 is not 0: the chord is timed
+    (60-digit mpmath on the float endpoints), not flagged as null."""
+    model = parse_model("S(1,1;1;+)")
+    b = 1.000000000000005
+    t = travel_time(model, [0.0, 0.0], [1.0, b])
+    assert t.regime == "Spacelike"
+    with mpmath.workdps(60):
+        A = 1 - mpmath.mpf(b) ** 2
+        J = mpmath.quad(lambda s: 1 / (A * s * s + 1) ** 2, [0, 1])
+        want = mpmath.sqrt(abs(A)) * J
+    assert t.time == pytest.approx(float(want), rel=1e-12)
+
+
+def test_underflowing_chords_are_refused():
+    """A nonzero direction whose A (and B) underflow would read as null or
+    as a constant line: refused, not answered as if e were 0 or null."""
+    with pytest.raises(DomainError, match="underflows"):
+        travel_time(PLANE, [1e-170, 0.0], [3e-170, 0.0])
+    line = GeodesicLine(PLANE, [0.0, 0.0], [1e-200, 0.0])
+    with pytest.raises(DomainError, match="underflows"):
+        solve_geodesic(line, 0.0, 0.0, 1.0)
+    with pytest.raises(DomainError, match="underflows"):
+        solve_geodesic(GeodesicLine(PLANE, [0.5, 0.0], [1e-200, 0.0]), 0.0, 0.0, 1.0)
+    # a product that underflows next to a normal one is below A's rounding
+    line = GeodesicLine(PLANE, [0.0, 0.0], [1.0, 1e-200])
+    assert solve_geodesic(line, 0.0, 0.0, 1.0).case.case == C5_NO_POLE
+    # a null direction's A is exactly 0 with no underflow: flagged as before
+    assert travel_time(parse_model("S(1,1;1;+)"), [0.0, 0.0],
+                       [1e-100, 1e-100]).regime == "Null"
+
+
 def test_travel_time_guards():
     with pytest.raises(DomainError):
         travel_time(DISK, [0.0, 0.0], [1.5, 0.0])
@@ -655,3 +763,11 @@ def test_triangle_crossover():
     assert s0 == pytest.approx(0.6873173236846923, abs=1e-6)
     assert not triangle_experiment(s0 - 1e-3).violates
     assert triangle_experiment(s0 + 1e-3).violates
+
+
+def test_triangle_legs_are_bit_equal():
+    """T(o, a) and T(o, b) are one number, so T_sum = 2 T(o, a) is exact."""
+    for s in RNG.uniform(0.0, 1.0, size=200):
+        legs = [travel_time(DISK, [0.0, 0.0], p).time for p in ([s, 0.0], [0.0, s])]
+        assert legs[0] == legs[1]
+        assert triangle_experiment(s).T_sum == legs[0] + legs[1]

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -87,6 +88,66 @@ def test_ray_determinant_law():
         tm = transport_ray(model, e, 0.2, 0.6)
         want = (model.psi(tm.to_point) / model.psi(tm.from_point)) ** (d + 1)
         assert tm.det() == pytest.approx(want, rel=1e-10)
+
+
+def _mp_ray_matrix(model, e, t0, t1):
+    """Lambda I + Lambda (Lambda - 1) e (G e)^T / q(e) at 60 digits, the float
+    inputs taken as exact."""
+    with mpmath.workdps(60):
+        e = [mpmath.mpf(v) for v in e]
+        signs = model.sig.signs
+        qe = sum(g * v * v for g, v in zip(signs, e))
+        lam = (qe * mpmath.mpf(t1) ** 2 + model.lam) / (qe * mpmath.mpf(t0) ** 2 + model.lam)
+        c = lam * (lam - 1) / qe
+        return [[(lam if i == j else 0) + c * x * g * y
+                 for j, (g, y) in enumerate(zip(signs, e))] for i, x in enumerate(e)]
+
+
+@pytest.mark.parametrize("k", [1e-5, 1e-8, 1e-11])
+def test_near_null_ray_matches_mpmath(k):
+    """Lambda - 1 cancels as q(e) -> 0; Lambda (t1 - t0)(t1 + t0) / psi(start)
+    does not, so the matrix stays within its own est_error."""
+    model = parse_model("S(1,1;-1;-)")
+    e = [1.0, 1.0 + k]
+    for t0, t1 in ((0.5, 2.0), (0.5, 1.0), (2.0, 0.7)):
+        tm = transport_ray(model, e, t0, t1)
+        want = _mp_ray_matrix(model, e, t0, t1)
+        size = max(abs(v) for row in want for v in row)
+        err = max(abs(float(tm.matrix[i][j]) - want[i][j])
+                  for i in range(2) for j in range(2)) / size
+        assert err <= tm.est_error, (t0, t1, err)
+
+
+def test_ray_is_bit_identical_under_power_of_two_scaling():
+    """transport_ray scales e_r into [0.5, 1) by a power of two, which is
+    exact: e_r 2^j with t / 2^j gives the same bits."""
+    for tag in ("S(2,0;-1;-)", "S(1,1;1;+)", "S(2,1;-1;-)"):
+        model = parse_model(tag)
+        d = model.sig.d
+        for _ in range(30):
+            e = RNG.normal(size=d)
+            t0, t1 = RNG.uniform(-0.9, 0.9, size=2) / max(np.abs(e).max(), 1.0)
+            try:
+                ref = transport_ray(model, e, t0, t1)
+            except DomainError:
+                continue
+            for j in RNG.integers(-300, 300, size=3).tolist():
+                tm = transport_ray(model, np.ldexp(e, j), math.ldexp(t0, -j),
+                                   math.ldexp(t1, -j))
+                for a, b in ((tm.matrix, ref.matrix), (tm.from_point, ref.from_point),
+                             (tm.to_point, ref.to_point), (tm.frame, ref.frame)):
+                    assert np.array_equal(a, b), (tag, e, t0, t1, j)
+
+
+def test_ray_with_a_tiny_direction_is_answered():
+    """e.e underflows for e = 1e-170 e_1, yet the ray from 0.1 e_1 to 0.5 e_1
+    is the ray of e_1 from 0.1 to 0.5."""
+    tm = transport_ray(DISK, [1e-170, 0.0], 1e169, 5e169)
+    ref = transport_ray(DISK, [1.0, 0.0], 0.1, 0.5)
+    assert tm.matrix == pytest.approx(ref.matrix, rel=1e-15)
+    # the kernel integrates the scaled ray, clear of subnormals
+    ode = transport_ode(DISK, RaySegment([1e-170, 0.0], 1e169, 5e169))
+    assert np.abs(ode.matrix - ref.matrix).max() < 1e-10
 
 
 def test_ray_rejects_null_direction_and_root_crossing():
@@ -282,8 +343,12 @@ def test_characteristic_frequency_regimes():
     assert zero.omega == 0j
     with pytest.raises(DomainError):
         characteristic_frequency(model, -1.0, -1)  # q + lambda = 0
-    with pytest.raises(DomainError):
-        characteristic_frequency(model, 0.0, +1)
+    # q_gamma = 0 (an arc of radius 0, refused by transport_arc): s = -eps
+    for eps in (1, -1):
+        assert characteristic_frequency(model, 0.0, eps).s == -eps
+    # the regime is the exact sign of s: a q_gamma one ulp off lambda is not Zero
+    assert characteristic_frequency(model, math.nextafter(1.0, 2.0), +1).regime == "Real"
+    assert characteristic_frequency(model, math.nextafter(1.0, 0.0), +1).regime == "Imaginary"
 
 
 def test_oscillator_matrix_cases():
@@ -334,6 +399,24 @@ def test_arc_closed_form_matches_ode():
         closed = transport_arc(model, plane, r, a, b)
         ode = transport_ode(model, path_arc(model, plane, r, a, b), tol=1e-11)
         assert np.abs(closed.matrix - ode.matrix).max() < 1e-7, tag
+
+
+@pytest.mark.parametrize("r", [1e-8, 1e-6])
+@pytest.mark.parametrize("tag,plane", [("S(2,0;1;+)", (1, 2)), ("S(2,0;-1;-)", (1, 2)),
+                                       ("S(1,1;-1;-)", (1, 2)), ("S(2,1;1;+)", (1, 3))])
+def test_tiny_arcs_are_answered_and_match_the_ode(tag, plane, r):
+    """q_gamma = r^2 q(u) is small but not 0: the arc is transported, not
+    refused as a light cone."""
+    model = parse_model(tag)
+    closed = transport_arc(model, plane, r, 0.0, 1.0)
+    ode = transport_ode(model, path_arc(model, plane, r, 0.0, 1.0))
+    assert np.abs(closed.matrix - ode.matrix).max() < 1e-12
+
+
+def test_arc_of_radius_zero_is_refused():
+    """A point has no moving frame (g/r divides by r)."""
+    with pytest.raises(DomainError, match="radius 0"):
+        transport_arc(parse_model("S(2,0;1;+)"), (1, 2), 0.0, 0.0, 1.0)
 
 
 def test_arc_determinant_law():
